@@ -1,6 +1,9 @@
 // Micro-benchmarks for the bandit substrate: UCB index computation, top-K
 // selection at paper scale (M=300) and in the large-M regime (M up to 1e6,
-// K ~ sqrt(M)), estimator updates and environment observation draws.
+// K ~ sqrt(M)), estimator updates and environment observation draws. The
+// *Reference rows drive the test oracle (tests/support/oracle.h): the
+// pre-SoA scan and iota + partial_sort top-K the production selector is
+// measured against.
 
 #include <cmath>
 
@@ -10,6 +13,7 @@
 #include "bandit/cucb_policy.h"
 #include "bandit/environment.h"
 #include "stats/rng.h"
+#include "support/oracle.h"
 
 namespace {
 
@@ -53,8 +57,10 @@ BENCHMARK(BM_EstimatorUpdate);
 
 void BM_UcbValues(benchmark::State& state) {
   bandit::EstimatorBank bank = MakeWarmBank(static_cast<int>(state.range(0)));
+  std::vector<double> ucb;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(bank.UcbValues());
+    bank.UcbValuesInto(&ucb);
+    benchmark::DoNotOptimize(ucb.data());
   }
 }
 BENCHMARK(BM_UcbValues)->Arg(50)->Arg(300);
@@ -62,8 +68,11 @@ BENCHMARK(BM_UcbValues)->Arg(50)->Arg(300);
 void BM_TopKByUcb(benchmark::State& state) {
   bandit::EstimatorBank bank = MakeWarmBank(300);
   int k = static_cast<int>(state.range(0));
+  std::vector<double> ucb;
+  std::vector<int> selected;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(bank.TopKByUcb(k));
+    bank.TopKByUcbInto(k, &ucb, &selected);
+    benchmark::DoNotOptimize(selected.data());
   }
 }
 BENCHMARK(BM_TopKByUcb)->Arg(10)->Arg(60);
@@ -134,7 +143,7 @@ void BM_UcbScanReference(benchmark::State& state) {
   bandit::EstimatorBank bank = MakeRandomWarmBank(m, 11.0);
   std::vector<double> ucb;
   for (auto _ : state) {
-    bank.UcbValuesReferenceInto(&ucb);
+    testsupport::UcbValuesReferenceInto(bank, &ucb);
     benchmark::DoNotOptimize(ucb.data());
   }
   state.SetItemsProcessed(state.iterations() * m);
@@ -145,8 +154,8 @@ BENCHMARK(BM_UcbScanReference)
     ->Arg(1000000)
     ->Unit(benchmark::kMicrosecond);
 
-// Full-rescan top-K over the scanned values (the reference selection's
-// second half): bounded heap-select at K ~ sqrt(M).
+// Full-rescan top-K over the scanned values (the selector's direct
+// regime): SoA scan plus bounded heap-select at K ~ sqrt(M).
 void BM_TopKByUcbLargeM(benchmark::State& state) {
   int m = static_cast<int>(state.range(0));
   bandit::EstimatorBank bank = MakeRandomWarmBank(m, 11.0);
@@ -165,17 +174,17 @@ BENCHMARK(BM_TopKByUcbLargeM)
 
 // Steady-state selection round at large M: select K, observe those K (the
 // bank update + selector invalidation that every trading round performs).
-// The optimized path pays ~K invalidations and a bounded pop loop; the
-// reference path rescans all M arms every round.
-void SelectRoundLargeM(benchmark::State& state, bool reference) {
+// CucbPolicy pays ~K invalidations and a pool rescan; the oracle rescans
+// all M arms and partial-sorts every round.
+template <typename Policy>
+void SelectRoundLargeM(benchmark::State& state) {
   int m = static_cast<int>(state.range(0));
   int k = static_cast<int>(state.range(1));
   bandit::CucbOptions options;
   options.num_sellers = m;
   options.num_selected = k;
-  options.reference_selection_path = reference;
-  auto policy = bandit::CucbPolicy::Create(options);
-  bandit::CucbPolicy& cucb = policy.value();  // hoisted: keep value() untimed
+  auto policy = Policy::Create(options);
+  Policy& cucb = policy.value();  // hoisted: keep value() untimed
 
   // Round 1 (Algorithm 1): observe every arm, distinct means.
   {
@@ -203,10 +212,10 @@ void SelectRoundLargeM(benchmark::State& state, bool reference) {
   }
 }
 void BM_LazySelectRound(benchmark::State& state) {
-  SelectRoundLargeM(state, /*reference=*/false);
+  SelectRoundLargeM<bandit::CucbPolicy>(state);
 }
 void BM_ReferenceSelectRound(benchmark::State& state) {
-  SelectRoundLargeM(state, /*reference=*/true);
+  SelectRoundLargeM<testsupport::OracleCucbPolicy>(state);
 }
 // Two K regimes per M: the paper's coalition size (K = 10) and the
 // stress scaling K ~ sqrt(M) used throughout docs/PERFORMANCE.md.

@@ -3,10 +3,16 @@
 // regime (M up to 1e6, K ~ sqrt(M), see docs/PERFORMANCE.md).
 
 #include <cmath>
+#include <memory>
+#include <utility>
 
 #include <benchmark/benchmark.h>
 
+#include "bandit/cucb_policy.h"
+#include "bandit/environment.h"
 #include "core/cmab_hs.h"
+#include "market/trading_engine.h"
+#include "support/oracle.h"
 
 namespace {
 
@@ -49,12 +55,15 @@ void BM_FullTradingRoundInvariants(benchmark::State& state) {
 BENCHMARK(BM_FullTradingRoundInvariants)->Arg(10);
 
 // Large-M steady-state round: selection + HS game (K ~ sqrt(M) coalition)
-// + observation of the selected arms + settlement. The default variant
-// runs the incremental lazy top-K selector and cross-round kink reuse; the
-// Reference variant forces the pre-optimization full-rescan selection.
-// Fixed iteration counts keep the expensive select-all warm-up round (M
-// observations) out of the benchmark library's timing probes.
-void FullTradingRoundLargeM(benchmark::State& state, bool reference) {
+// + observation of the selected arms + settlement, on a TradingEngine
+// whose only difference between variants is the selection policy. The
+// default variant runs CucbPolicy (the two-regime top-K selector) with
+// cross-round kink reuse; the Reference variant runs the test oracle's
+// full-rescan + partial_sort selection. Fixed iteration counts keep the
+// expensive select-all warm-up round (M observations) out of the benchmark
+// library's timing probes.
+template <typename Policy>
+void FullTradingRoundLargeM(benchmark::State& state) {
   int m = static_cast<int>(state.range(0));
   core::MechanismConfig config;
   config.num_sellers = m;
@@ -62,19 +71,26 @@ void FullTradingRoundLargeM(benchmark::State& state, bool reference) {
   config.num_pois = 4;
   config.num_rounds = 1 << 30;
   config.check_invariants = false;
-  config.reference_selection_path = reference;
-  auto run = core::CmabHs::Create(config);
-  core::CmabHs& engine = *run.value();
+  auto environment =
+      bandit::QualityEnvironment::Create(config.MakeEnvironmentConfig());
+  bandit::CucbOptions options;
+  options.num_sellers = config.num_sellers;
+  options.num_selected = config.num_selected;
+  auto policy = Policy::Create(options);
+  auto run = market::TradingEngine::Create(
+      config.MakeEngineConfig(), &environment.value(),
+      std::make_unique<Policy>(std::move(policy).value()));
+  market::TradingEngine& engine = *run.value();
   (void)engine.RunRound();  // round 1: select-all initial exploration
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.RunRound());
   }
 }
 void BM_FullTradingRoundLargeM(benchmark::State& state) {
-  FullTradingRoundLargeM(state, /*reference=*/false);
+  FullTradingRoundLargeM<bandit::CucbPolicy>(state);
 }
 void BM_FullTradingRoundLargeMReference(benchmark::State& state) {
-  FullTradingRoundLargeM(state, /*reference=*/true);
+  FullTradingRoundLargeM<testsupport::OracleCucbPolicy>(state);
 }
 // Two K regimes per M, as separate families so each can pick an
 // iteration count matched to its round cost:
@@ -100,10 +116,10 @@ BENCHMARK(BM_FullTradingRoundLargeMReference)
     ->Unit(benchmark::kMillisecond);
 
 void BM_FullTradingRoundPaperK(benchmark::State& state) {
-  FullTradingRoundLargeM(state, /*reference=*/false);
+  FullTradingRoundLargeM<bandit::CucbPolicy>(state);
 }
 void BM_FullTradingRoundPaperKReference(benchmark::State& state) {
-  FullTradingRoundLargeM(state, /*reference=*/true);
+  FullTradingRoundLargeM<testsupport::OracleCucbPolicy>(state);
 }
 BENCHMARK(BM_FullTradingRoundPaperK)
     ->Args({10000, 10})

@@ -10,9 +10,10 @@
 //   q̂_i = q̄_i + s · bonus_base_i   with   s = sqrt(ln Σ_j n_j)
 //
 // which the lazy top-K selector (topk.h) exploits for stale upper bounds;
-// the *exact* values reported by UcbValue(s) always use the canonical
-// association sqrt((exploration · ln T) / n_i) so they stay bit-identical
-// to the pre-SoA implementation (FP multiplication does not reassociate).
+// the *exact* values reported by UcbValue/UcbValuesInto always use the
+// canonical association sqrt((exploration · ln T) / n_i) so they stay
+// bit-identical to the pre-SoA implementation (FP multiplication does not
+// reassociate).
 
 #ifndef CDT_BANDIT_ARM_H_
 #define CDT_BANDIT_ARM_H_
@@ -111,30 +112,17 @@ class EstimatorBank {
   /// selection naturally prefers unseen arms.
   double UcbValue(int i) const;
 
-  /// All UCB indices (size M).
-  std::vector<double> UcbValues() const;
-
-  /// UcbValues into a caller-owned buffer (resized to M; allocation-free
-  /// once the buffer reached capacity — the round hot path). Branch-free
+  /// All UCB indices into a caller-owned buffer (resized to M;
+  /// allocation-free once the buffer reached capacity). Branch-free
   /// over the columns: an unexplored arm has counts()[i] == 0.0, so
   /// scaled_log / 0.0 == +inf and the sentinel falls out of the same
   /// expression that scores warm arms.
   void UcbValuesInto(std::vector<double>* out) const;
 
-  /// The pre-optimization scan, loop shape preserved: a per-arm branch on
-  /// the raw observation counter plus a uint64→double conversion inside
-  /// the loop (what the row-wise bank compiled to). Values are identical
-  /// to UcbValuesInto — counts() mirrors observation_counts() exactly —
-  /// so the reference selection path stays byte-compatible while its
-  /// benchmark measures the true pre-SoA scan cost.
-  void UcbValuesReferenceInto(std::vector<double>* out) const;
-
   /// Indices of the k arms with the largest UCB values (descending,
-  /// deterministic tie-break by index).
-  std::vector<int> TopKByUcb(int k) const;
-
-  /// TopKByUcb through caller-owned buffers: `ucb_scratch` receives the
-  /// UCB values, `out` the winning indices (see TopKIndicesInto).
+  /// deterministic tie-break by index) through caller-owned buffers:
+  /// `ucb_scratch` receives the UCB values, `out` the winning indices (see
+  /// TopKIndicesInto).
   void TopKByUcbInto(int k, std::vector<double>* ucb_scratch,
                      std::vector<int>* out) const;
 
@@ -173,14 +161,6 @@ std::vector<int> TopKIndices(const std::vector<double>& values, int k);
 /// under (value desc, index asc).
 void TopKIndicesInto(const std::vector<double>& values, int k,
                      std::vector<int>* out);
-
-/// The pre-optimization iota + partial_sort implementation, kept verbatim
-/// as the reference selection path (pinned byte-identical to
-/// TopKIndicesInto by test, and the baseline the large-M benches compare
-/// against). `out` is used as the full candidate ordering internally, so
-/// its capacity settles at values.size().
-void TopKIndicesPartialSortInto(const std::vector<double>& values, int k,
-                                std::vector<int>* out);
 
 }  // namespace bandit
 }  // namespace cdt

@@ -9,9 +9,9 @@ namespace bandit {
 
 namespace {
 
-// Total order matching the reference selection: value descending, arm
-// ascending on exact ties. The top-K set under a total order is unique
-// regardless of scan order.
+// Total order of Eq. (19) selection: value descending, arm ascending on
+// exact ties. The top-K set under a total order is unique regardless of
+// scan order.
 inline bool RanksAheadOf(double va, int a, double vb, int b) {
   if (va != vb) return va > vb;
   return a < b;
@@ -19,8 +19,18 @@ inline bool RanksAheadOf(double va, int a, double vb, int b) {
 
 }  // namespace
 
+std::size_t LazyTopKSelector::PoolTarget(int m, int k) {
+  const int kk = std::max(k, 1);
+  const std::size_t margin = std::max<std::size_t>(
+      64, static_cast<std::size_t>(
+              std::lround(std::sqrt(static_cast<double>(m) * kk))));
+  return static_cast<std::size_t>(kk) + margin;
+}
+
 void LazyTopKSelector::Invalidate(const EstimatorBank& bank, int arm) {
-  if (arm < 0) return;
+  // Without a pool the next lazy selection rebuilds from scratch, so
+  // there is nothing to keep in sync.
+  if (!initialized_ || arm < 0) return;
   if (static_cast<std::size_t>(arm) >= dirty_.size()) {
     std::size_t grow = static_cast<std::size_t>(
         std::max(arm + 1, bank.num_arms()));
@@ -46,9 +56,9 @@ void LazyTopKSelector::Rebuild(const EstimatorBank& bank, int k) {
   const double* counts = bank.counts().data();
   const double* bonus_bases = bank.bonus_bases().data();
 
-  // Branch-free vectorized scan first (the same canonical association the
-  // reference path uses, so the values are bit-identical), then a compact
-  // pass that drops the cold arms (they live in the bank's cold list).
+  // Branch-free vectorized scan first (the canonical association, so the
+  // values are bit-identical to the pool rescan), then a compact pass that
+  // drops the cold arms (they live in the bank's cold list).
   bank.UcbValuesInto(&ucb_scratch_);
   const double* ucb = ucb_scratch_.data();
   scan_.clear();
@@ -63,12 +73,7 @@ void LazyTopKSelector::Rebuild(const EstimatorBank& bank, int k) {
   // the O(M) rebuild over ~(P − K)/K rounds while the per-round rescan
   // stays O(P).
   const std::size_t warm = scan_.size();
-  const int kk = std::max(k, 1);
-  const std::size_t margin = std::max<std::size_t>(
-      64, static_cast<std::size_t>(
-              std::lround(std::sqrt(static_cast<double>(m) * kk))));
-  const std::size_t target =
-      std::min(warm, static_cast<std::size_t>(kk) + margin);
+  const std::size_t target = std::min(warm, PoolTarget(m, k));
 
   if (warm > target) {
     std::nth_element(scan_.begin(),
@@ -149,6 +154,20 @@ double LazyTopKSelector::SelectFromPool(const EstimatorBank& bank,
 void LazyTopKSelector::SelectInto(const EstimatorBank& bank, int k,
                                   std::vector<int>* out) {
   const int m = bank.num_arms();
+  if (DirectRegime(m, k)) {
+    // Direct regime: a pool would cover half the bank and rebuild every
+    // round, so one full scan plus heap-select is cheaper. Any pool left
+    // by an earlier lazy-regime call is dropped, which also turns
+    // Invalidate into a no-op.
+    if (initialized_) {
+      for (int arm : pending_) dirty_[static_cast<std::size_t>(arm)] = 0;
+      pending_.clear();
+      pool_.clear();
+      initialized_ = false;
+    }
+    bank.TopKByUcbInto(k, &ucb_scratch_, out);
+    return;
+  }
   if (static_cast<std::size_t>(m) > dirty_.size()) {
     in_pool_.resize(static_cast<std::size_t>(m), 0);
     dirty_.resize(static_cast<std::size_t>(m), 0);
@@ -158,8 +177,9 @@ void LazyTopKSelector::SelectInto(const EstimatorBank& bank, int k,
   bool rebuilt = false;
   if (out_of_band || pending_.size() * 4 >= static_cast<std::size_t>(m) ||
       pool_.size() * 2 >= static_cast<std::size_t>(m)) {
-    // High invalidation density, a bloated pool, or a bank replaced behind
-    // our back: one full scan is cheaper than nursing the pool along.
+    // High invalidation density, a pool bloated by joined arms, or a bank
+    // replaced behind our back: one full scan is cheaper than nursing the
+    // pool along.
     Rebuild(bank, k);
     rebuilt = true;
   } else if (!pending_.empty()) {

@@ -1,14 +1,21 @@
-// Incremental top-K maintenance over an EstimatorBank (the large-M
-// selection hot path).
+// Top-K-by-UCB selection over an EstimatorBank: the one Eq. (19) selector
+// behind CucbPolicy, with two regimes chosen from (M, K).
+//
+// Pool target P = K + max(64, round(sqrt(M·K))).
+//
+//   * Direct regime (2P >= M): a candidate pool would cover half the bank,
+//     so every selection is one SoA scan plus a bounded heap-select
+//     (EstimatorBank::TopKByUcbInto). No pool state is kept and
+//     Invalidate does no work.
+//   * Lazy regime (2P < M): incremental maintenance, below.
 //
 // Between rounds only the K played arms' (mean_i, bonus_base_i) change,
 // while the Eq. (19) scalar s = sqrt(ln Σ_j n_j) moves globally — and only
-// ever upward. The selector keeps a *candidate pool*: the top
-// P = K + Θ(sqrt(M·K)) warm arms by exact UCB as of the last full scan,
-// plus every arm updated since. Each selection rescans only the pool with
-// the canonical Eq. (19) association (bit-identical to the full-scan
-// value) and proves the result exact against a bound on everything
-// outside:
+// ever upward. The selector keeps a *candidate pool*: the top P warm arms
+// by exact UCB as of the last full scan, plus every arm updated since.
+// Each selection rescans only the pool with the canonical Eq. (19)
+// association (bit-identical to the full-scan value) and proves the
+// result exact against a bound on everything outside:
 //
 //   * at rebuild time (scalar s₀) a single O(M) nth_element pass splits
 //     the warm arms into pool and outside, recording the outside maxima
@@ -22,20 +29,20 @@
 //   * if the K-th best exact value inside the pool strictly exceeds that
 //     bound, no outside arm can displace or tie any winner (ties are
 //     conservatively unsafe: equality falls back) and the pool selection
-//     is provably the global top-K. Otherwise the selector rebuilds —
-//     one O(M) scan, cheaper than the reference scan-and-partial-sort —
-//     and the fresh pool is exact by construction.
+//     is provably the global top-K. Otherwise the selector rebuilds (one
+//     O(M) scan) and the fresh pool is exact by construction.
 //
 // The pool margin erodes at the rate the played arms' values fall plus
 // the global (s − s₀)·B drift, so rebuilds land every ~(P − K)/K rounds;
 // sizing P − K ≈ sqrt(M·K) balances the amortized rebuild cost against
 // the per-round pool rescan, giving O(K + sqrt(M·K)) work per round
-// instead of the reference's O(M + M log K).
+// instead of a full scan's O(M + M log K).
 //
 // Unexplored arms never enter the pool: their UCB is +inf with index-
 // ascending tie-breaks, so the bank's cold list is emitted ahead of the
-// pool winners verbatim. The emitted selection is byte-identical to
-// TopKIndicesInto over UcbValuesInto (pinned by test).
+// pool winners verbatim. Both regimes emit a selection byte-identical to
+// an iota + partial_sort over the full UCB scan (the test oracle in
+// tests/support/oracle.h).
 
 #ifndef CDT_BANDIT_TOPK_H_
 #define CDT_BANDIT_TOPK_H_
@@ -55,17 +62,25 @@ class LazyTopKSelector {
   LazyTopKSelector() = default;
 
   /// Marks arm `arm`'s statistics as changed after a bank update and
-  /// records the bank's post-update identity. O(1), deduplicated; safe to
-  /// call before the first SelectInto.
+  /// records the bank's post-update identity. O(1), deduplicated; a no-op
+  /// while no pool exists (before the first lazy-regime SelectInto and in
+  /// the direct regime), since the next lazy selection rebuilds anyway.
   void Invalidate(const EstimatorBank& bank, int arm);
 
   /// Fills `out` with the k top-UCB arm indices (descending value,
-  /// ascending index on ties) — byte-identical to
-  /// TopKIndicesInto(UcbValues(), k). Rebuilds from scratch when the bank
-  /// changed out of band (Restore bumps the epoch; any update that skipped
-  /// Invalidate changes the total), when too many arms are invalid, or
-  /// when the pool can no longer prove the selection exact.
+  /// ascending index on ties) — byte-identical to TopKByUcbInto. In the
+  /// lazy regime, rebuilds from scratch when the bank changed out of band
+  /// (Restore bumps the epoch; any update that skipped Invalidate changes
+  /// the total), when too many arms are invalid, or when the pool can no
+  /// longer prove the selection exact.
   void SelectInto(const EstimatorBank& bank, int k, std::vector<int>* out);
+
+  /// Pool target P = max(k, 1) + max(64, round(sqrt(m · max(k, 1)))).
+  static std::size_t PoolTarget(int m, int k);
+  /// True when 2P >= m: selection is a direct full scan, no pool.
+  static bool DirectRegime(int m, int k) {
+    return 2 * PoolTarget(m, k) >= static_cast<std::size_t>(m);
+  }
 
   /// Number of full rebuilds performed (test/telemetry introspection).
   std::int64_t full_rebuilds() const { return full_rebuilds_; }
@@ -99,7 +114,7 @@ class LazyTopKSelector {
   std::vector<int> pending_;           // arms invalidated since last select
   std::vector<Candidate> best_;        // running top-k scratch
   std::vector<Candidate> scan_;        // rebuild scratch (all warm arms)
-  std::vector<double> ucb_scratch_;    // rebuild scratch (vectorized scan)
+  std::vector<double> ucb_scratch_;    // full-scan scratch (both regimes)
   double outside_value_ = 0.0;         // V: max outside exact at rebuild
   double outside_bb_ = 0.0;            // B: max outside bonus_base
   double s_rebuild_ = 0.0;             // s₀: bonus scalar at rebuild

@@ -68,7 +68,9 @@ TEST(EstimatorBankTest, UnexploredArmsWinTopK) {
   auto bank = EstimatorBank::Create(3, 2.0);
   ASSERT_TRUE(bank.ok());
   ASSERT_TRUE(bank.value().Update(0, {1.0, 1.0, 1.0}).ok());
-  auto top = bank.value().TopKByUcb(2);
+  std::vector<double> ucb;
+  std::vector<int> top;
+  bank.value().TopKByUcbInto(2, &ucb, &top);
   // Arms 1 and 2 are unexplored (infinite UCB) and must come first.
   EXPECT_EQ(top, (std::vector<int>{1, 2}));
 }

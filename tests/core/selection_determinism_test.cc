@@ -1,128 +1,144 @@
-// Determinism suite for the selection-path split: the optimized path (SoA
-// bank + lazy top-K + kink reuse) and the reference path (full Eq. 19 scan
-// + partial_sort) must produce byte-identical economics. Runs the fig07 and
-// fig09 evaluation configs plus a 1e4-arm synthetic campaign through both
-// paths and asserts every AlgorithmResult field — and the CSV rows derived
-// from them — bit for bit.
+// Engine-level differential suite for CMAB-HS selection: one TradingEngine
+// runs the production CucbPolicy (SoA bank + the two-regime top-K
+// selector), a twin runs the test oracle (reference Eq. 19 scan +
+// partial_sort, tests/support/oracle.h), and every round's canonical
+// report bytes must match. Covers the fig07 and fig09 evaluation configs,
+// a 1e4-arm synthetic campaign, both selector regimes, and both sides of
+// the regime boundary at K = 10 (M = 148 direct, M = 149 lazy).
 
-#include "core/comparison.h"
-
-#include <cstdio>
+#include <algorithm>
+#include <memory>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include <gtest/gtest.h>
 
-#include "util/csv.h"
+#include "bandit/cucb_policy.h"
+#include "bandit/environment.h"
+#include "bandit/topk.h"
+#include "core/config.h"
+#include "market/trading_engine.h"
+#include "persist/replay.h"
+#include "support/oracle.h"
 
 namespace cdt {
 namespace core {
 namespace {
 
-std::string Format17(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return std::string(buf);
+/// One campaign: the environment the engine borrows, and the engine.
+struct Campaign {
+  std::unique_ptr<bandit::QualityEnvironment> environment;
+  std::unique_ptr<market::TradingEngine> engine;
+};
+
+Campaign MakeCampaign(const MechanismConfig& config, bool oracle) {
+  Campaign campaign;
+  auto env =
+      bandit::QualityEnvironment::Create(config.MakeEnvironmentConfig());
+  EXPECT_TRUE(env.ok()) << env.status().ToString();
+  campaign.environment =
+      std::make_unique<bandit::QualityEnvironment>(std::move(env).value());
+
+  bandit::CucbOptions options;
+  options.num_sellers = config.num_sellers;
+  options.num_selected = config.num_selected;
+  options.exploration = config.exploration;
+  options.select_all_first_round = config.select_all_first_round;
+  std::unique_ptr<bandit::SelectionPolicy> policy;
+  if (oracle) {
+    auto made = testsupport::OracleCucbPolicy::Create(options);
+    EXPECT_TRUE(made.ok()) << made.status().ToString();
+    policy = std::make_unique<testsupport::OracleCucbPolicy>(
+        std::move(made).value());
+  } else {
+    auto made = bandit::CucbPolicy::Create(options);
+    EXPECT_TRUE(made.ok()) << made.status().ToString();
+    policy = std::make_unique<bandit::CucbPolicy>(std::move(made).value());
+  }
+
+  auto engine = market::TradingEngine::Create(config.MakeEngineConfig(),
+                                              campaign.environment.get(),
+                                              std::move(policy));
+  EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+  campaign.engine = std::move(engine).value();
+  return campaign;
 }
 
-// One CSV row per algorithm, every double at full precision, so a single
-// flipped bit anywhere in the economics shows up as a string mismatch.
-std::string ResultCsvRow(const AlgorithmResult& algo) {
-  util::CsvRow row{algo.name,
-                   Format17(algo.expected_revenue),
-                   Format17(algo.observed_revenue),
-                   Format17(algo.regret),
-                   Format17(algo.mean_consumer_profit),
-                   Format17(algo.mean_platform_profit),
-                   Format17(algo.mean_seller_profit_total),
-                   Format17(algo.mean_seller_profit_each),
-                   Format17(algo.delta_consumer),
-                   Format17(algo.delta_platform),
-                   Format17(algo.delta_seller)};
-  for (const MetricsCheckpoint& cp : algo.checkpoints) {
-    row.push_back(std::to_string(cp.round));
-    row.push_back(Format17(cp.expected_revenue));
-    row.push_back(Format17(cp.observed_revenue));
-    row.push_back(Format17(cp.regret));
-    row.push_back(Format17(cp.mean_consumer_profit));
-    row.push_back(Format17(cp.mean_platform_profit));
-    row.push_back(Format17(cp.mean_seller_profit_total));
-    row.push_back(Format17(cp.mean_seller_profit_each));
+void ExpectBitIdentical(const MechanismConfig& config) {
+  ASSERT_TRUE(config.Validate().ok());
+  Campaign optimized = MakeCampaign(config, /*oracle=*/false);
+  Campaign oracle = MakeCampaign(config, /*oracle=*/true);
+  ASSERT_NE(optimized.engine, nullptr);
+  ASSERT_NE(oracle.engine, nullptr);
+  for (std::int64_t round = 1; round <= config.num_rounds; ++round) {
+    auto lhs = optimized.engine->RunRound();
+    auto rhs = oracle.engine->RunRound();
+    ASSERT_TRUE(lhs.ok()) << lhs.status().ToString();
+    ASSERT_TRUE(rhs.ok()) << rhs.status().ToString();
+    const std::string a = persist::CanonicalRoundBytes(lhs.value());
+    const std::string b = persist::CanonicalRoundBytes(rhs.value());
+    if (a != b) {
+      // Name the first divergent offset rather than dumping both reports.
+      const auto at =
+          std::mismatch(a.begin(), a.end(), b.begin(), b.end()).first;
+      FAIL() << "round " << round << ": canonical bytes differ at offset "
+             << (at - a.begin()) << " (" << a.size() << " vs " << b.size()
+             << " bytes)";
+    }
   }
-  return util::FormatCsvLine(row);
 }
 
-void ExpectBitIdentical(const MechanismConfig& base,
-                        const ComparisonOptions& options) {
-  MechanismConfig optimized = base;
-  optimized.reference_selection_path = false;
-  MechanismConfig reference = base;
-  reference.reference_selection_path = true;
-
-  auto lhs = RunComparison(optimized, options);
-  auto rhs = RunComparison(reference, options);
-  ASSERT_TRUE(lhs.ok()) << lhs.status().ToString();
-  ASSERT_TRUE(rhs.ok()) << rhs.status().ToString();
-
-  const auto& a = lhs.value().algorithms;
-  const auto& b = rhs.value().algorithms;
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(ResultCsvRow(a[i]), ResultCsvRow(b[i])) << a[i].name;
-  }
-  EXPECT_EQ(Format17(lhs.value().gaps.delta_min),
-            Format17(rhs.value().gaps.delta_min));
-  EXPECT_EQ(Format17(lhs.value().gaps.delta_max),
-            Format17(rhs.value().gaps.delta_max));
-  EXPECT_EQ(Format17(lhs.value().theorem19_bound),
-            Format17(rhs.value().theorem19_bound));
+MechanismConfig Shape(int sellers, int selected, int rounds,
+                      std::uint64_t seed) {
+  MechanismConfig config;
+  config.num_sellers = sellers;
+  config.num_selected = selected;
+  config.num_pois = 10;
+  config.num_rounds = rounds;
+  config.seed = seed;
+  return config;
 }
 
 TEST(SelectionDeterminismTest, Fig07ConfigBothPathsBitIdentical) {
-  // Fig. 7 shape: Table-II economics at reduced horizon, with checkpoints
-  // so mid-campaign state is pinned too, not just the final tallies.
-  MechanismConfig config;
-  config.num_sellers = 300;
-  config.num_selected = 10;
-  config.num_pois = 10;
-  config.num_rounds = 400;
-  config.seed = 7;
-  ComparisonOptions options;
-  options.checkpoints = {100, 250, 400};
-  ExpectBitIdentical(config, options);
+  // Fig. 7 shape: Table-II economics at reduced horizon (lazy regime).
+  ASSERT_FALSE(bandit::LazyTopKSelector::DirectRegime(300, 10));
+  ExpectBitIdentical(Shape(300, 10, 400, 7));
 }
 
 TEST(SelectionDeterminismTest, Fig09ConfigBothPathsBitIdentical) {
   // Fig. 9 shape: larger pool, same K, different seed/horizon.
-  MechanismConfig config;
-  config.num_sellers = 500;
-  config.num_selected = 10;
-  config.num_pois = 10;
-  config.num_rounds = 300;
-  config.seed = 9;
-  ComparisonOptions options;
-  options.checkpoints = {150, 300};
-  ExpectBitIdentical(config, options);
+  ASSERT_FALSE(bandit::LazyTopKSelector::DirectRegime(500, 10));
+  ExpectBitIdentical(Shape(500, 10, 300, 9));
 }
 
 TEST(SelectionDeterminismTest, TenThousandArmSyntheticBitIdentical) {
   // Large-M synthetic: K ~ sqrt(M). Round 1 observes all 10^4 arms, so the
-  // lazy selector starts from a fully invalidated bank; the remaining
-  // rounds exercise the steady-state incremental path. Only CMAB-HS is run
-  // (the policy whose selection path forked); deltas off to keep the
-  // runtime down.
-  MechanismConfig config;
-  config.num_sellers = 10000;
-  config.num_selected = 100;
+  // lazy selector starts from a full rebuild; the remaining rounds
+  // exercise the steady-state incremental path.
+  MechanismConfig config = Shape(10000, 100, 25, 10007);
   config.num_pois = 4;
-  config.num_rounds = 25;
-  config.seed = 10007;
   config.check_invariants = false;
-  ComparisonOptions options;
-  options.policies = {{PolicyKind::kCmabHs, 0.0}};
-  options.compute_deltas = false;
-  options.checkpoints = {10, 25};
-  ExpectBitIdentical(config, options);
+  ASSERT_FALSE(bandit::LazyTopKSelector::DirectRegime(10000, 100));
+  ExpectBitIdentical(config);
+}
+
+TEST(SelectionDeterminismTest, DirectRegimeSmallMarketBitIdentical) {
+  ASSERT_TRUE(bandit::LazyTopKSelector::DirectRegime(100, 10));
+  ExpectBitIdentical(Shape(100, 10, 400, 11));
+}
+
+TEST(SelectionDeterminismTest, DirectRegimeWideCoalitionBitIdentical) {
+  ASSERT_TRUE(bandit::LazyTopKSelector::DirectRegime(300, 60));
+  ExpectBitIdentical(Shape(300, 60, 150, 60));
+}
+
+TEST(SelectionDeterminismTest, RegimeBoundaryBothSidesBitIdentical) {
+  // At K = 10 the pool target is 74: M = 148 has 2P = M (direct), M = 149
+  // is the smallest lazy market.
+  ASSERT_TRUE(bandit::LazyTopKSelector::DirectRegime(148, 10));
+  ASSERT_FALSE(bandit::LazyTopKSelector::DirectRegime(149, 10));
+  ExpectBitIdentical(Shape(148, 10, 400, 148));
+  ExpectBitIdentical(Shape(149, 10, 400, 149));
 }
 
 }  // namespace

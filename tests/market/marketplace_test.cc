@@ -138,8 +138,8 @@ TEST(MarketplaceTest, FirstPickerGetsTheBestUcb) {
   }
   // On round 11 (odd), ml-training picks first; its first seller must have
   // the globally maximal UCB at the time of selection.
-  std::vector<double> ucb = marketplace.value()->shared_estimates()
-                                .UcbValues();
+  std::vector<double> ucb;
+  marketplace.value()->shared_estimates().UcbValuesInto(&ucb);
   int argmax = 0;
   for (int i = 1; i < kSellers; ++i) {
     if (ucb[static_cast<std::size_t>(i)] >

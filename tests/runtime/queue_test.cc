@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -97,8 +98,10 @@ TEST(EventQueueTest, HighWaterNeverExceedsCapacityUnderContention) {
   std::vector<std::thread> producers;
   for (int t = 0; t < 4; ++t) {
     producers.emplace_back([&queue, &accepted, t] {
+      std::string producer = "p";
+      producer += std::to_string(t);
       for (int i = 0; i < 200; ++i) {
-        if (queue.TryPush(Tick("p" + std::to_string(t))) ==
+        if (queue.TryPush(Tick(producer)) ==
             PushResult::kAccepted) {
           accepted.fetch_add(1, std::memory_order_relaxed);
         }

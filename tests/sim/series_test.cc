@@ -1,6 +1,7 @@
 #include "sim/series.h"
 
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -20,7 +21,11 @@ TEST(SeriesTest, CollectsPoints) {
 TEST(FigureDataTest, AddSeriesReturnsStablePointers) {
   FigureData fig("fig07", "revenue vs N", "N", "revenue");
   Series* a = fig.AddSeries("a");
-  for (int i = 0; i < 50; ++i) fig.AddSeries("s" + std::to_string(i));
+  for (int i = 0; i < 50; ++i) {
+    std::string name = "s";
+    name += std::to_string(i);
+    fig.AddSeries(name);
+  }
   a->Add(1.0, 1.0);  // must not be dangling
   EXPECT_EQ(fig.series()[0]->points().size(), 1u);
 }

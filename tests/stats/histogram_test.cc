@@ -1,4 +1,4 @@
-#include "stats/histogram.h"
+#include "support/histogram.h"
 
 #include <gtest/gtest.h>
 

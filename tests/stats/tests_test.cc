@@ -1,4 +1,4 @@
-#include "stats/tests.h"
+#include "support/stats_tests.h"
 
 #include <cmath>
 

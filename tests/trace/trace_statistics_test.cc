@@ -10,7 +10,7 @@
 
 #include "bandit/environment.h"
 #include "stats/distributions.h"
-#include "stats/tests.h"
+#include "support/stats_tests.h"
 #include "trace/generator.h"
 
 namespace cdt {

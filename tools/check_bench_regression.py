@@ -13,7 +13,12 @@ every other row is report-only — the M=1e5/1e6 rows take long enough
 that CI noise would make a hard gate flaky, but their trend is still
 printed into the job log and the uploaded artifact.
 
-Stdlib only; exits 0 when every gated row holds, 1 otherwise.
+Each --ratio NUM DEN MAX adds a host-independent gate on the current
+report alone: the time of row NUM divided by the time of row DEN, both
+from the same run, must not exceed MAX (e.g. the optimized selector
+against the test oracle at the same M and K). A missing row fails.
+
+Stdlib only; exits 0 when every gated row and ratio holds, 1 otherwise.
 """
 
 import argparse
@@ -51,6 +56,10 @@ def main():
                         help="rows that hard-fail on regression")
     parser.add_argument("--threshold", type=float, default=1.25,
                         help="max allowed current/baseline time ratio")
+    parser.add_argument("--ratio", nargs=3, action="append", default=[],
+                        metavar=("NUM", "DEN", "MAX"),
+                        help="same-run gate: time(NUM) / time(DEN) <= MAX "
+                             "(repeatable)")
     args = parser.parse_args()
 
     import re
@@ -88,13 +97,23 @@ def main():
         print("no large-M benchmark rows found in the current report",
               file=sys.stderr)
         return 1
+    for num, den, limit in args.ratio:
+        label = f"{num} / {den}"
+        if num not in cur or den not in cur:
+            print(f"  [RATIO]  {label}: row missing from the current report")
+            failures.append((label, float("inf")))
+            continue
+        ratio = cur[num] / cur[den]
+        print(f"  [RATIO]  {label}: {ratio:.2f} (max {float(limit):.2f})")
+        if ratio > float(limit):
+            failures.append((label, ratio))
     if failures:
-        print(f"\n{len(failures)} gated row(s) regressed beyond "
-              f"{args.threshold:.2f}x:", file=sys.stderr)
+        print(f"\n{len(failures)} gated row(s) or ratio(s) out of bounds "
+              f"(row threshold {args.threshold:.2f}x):", file=sys.stderr)
         for name, ratio in failures:
             print(f"  {name}: {ratio:.2f}x", file=sys.stderr)
         return 1
-    print("\nall gated rows within threshold")
+    print("\nall gated rows and ratios within bounds")
     return 0
 
 

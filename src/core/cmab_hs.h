@@ -65,7 +65,9 @@ class CmabHs {
   }
   const market::TradingEngine& engine() const { return *engine_; }
   /// Mutable engine access for the persistence layer (attaching a
-  /// RunRecorder observer, restoring a snapshot before the first round).
+  /// RunRecorder, directly or behind a runtime::DurabilityGuard; restoring
+  /// a snapshot before the first round; re-applying seller flips during
+  /// recovery).
   market::TradingEngine& mutable_engine() { return *engine_; }
   MetricsCollector& metrics() { return *metrics_; }
   const MetricsCollector& metrics() const { return *metrics_; }

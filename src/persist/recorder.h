@@ -3,6 +3,9 @@
 // written snapshot file — the producer side of record/replay. Attach it to
 // a TradingEngine (via CmabHs::mutable_engine()->AddObserver) before the
 // first round; call Finish() after the campaign for a footer-sealed log.
+// The only writer of durable rounds: campaigns use it directly, and
+// runtime::DurabilityGuard drives one per marketplace and decides what the
+// errors it returns (all of them, fail-fast) mean.
 
 #ifndef CDT_PERSIST_RECORDER_H_
 #define CDT_PERSIST_RECORDER_H_
@@ -46,6 +49,16 @@ class RunRecorder : public market::RoundObserver {
   /// observed engine must already be positioned there (snapshot restore +
   /// tail replay) — AppendRound enforces the gap-free round sequence.
   static util::Result<std::unique_ptr<RunRecorder>> Attach(Options options);
+
+  /// Compaction / re-arm: snapshots `engine` (rounds [1, round]), then
+  /// swings in a log starting after `round` (EventLogWriter::OpenRebased)
+  /// that notes the snapshot when round >= 1. Snapshot first, so a crash
+  /// in between leaves old log + new snapshot, which recovers. Needs a
+  /// snapshot_path (FailedPrecondition otherwise).
+  static util::Result<std::unique_ptr<RunRecorder>> Rebase(
+      Options options, const core::MechanismConfig& config,
+      const core::PolicySpec& policy, const market::TradingEngine& engine,
+      std::int64_t round);
 
   /// Appends the round record; at checkpoint rounds also captures and
   /// durably writes a snapshot, then notes it in the log (the note is

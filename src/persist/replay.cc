@@ -178,6 +178,31 @@ std::string DivergenceDetail(const market::RoundReport& recorded,
 
 }  // namespace
 
+Status ReplayTail(const RecordedRun& recorded, core::CmabHs* run,
+                  std::int64_t through_round) {
+  const std::int64_t from = run->engine().current_round() + 1;
+  if (from <= recorded.base_round ||
+      through_round > recorded.base_round +
+                          static_cast<std::int64_t>(recorded.rounds.size())) {
+    return Status::OutOfRange("replay range is outside the recorded rounds");
+  }
+  for (std::int64_t round = from; round <= through_round; ++round) {
+    auto report = run->RunRound();
+    CDT_RETURN_NOT_OK(report.status());
+    const auto index =
+        static_cast<std::size_t>(round - recorded.base_round - 1);
+    if (CanonicalRoundBytes(report.value()) !=
+        recorded.round_payloads[index]) {
+      return Status::Internal(
+          "replay diverged at round " + std::to_string(round) +
+          " (differing fields: " +
+          DivergenceDetail(recorded.rounds[index], report.value()) +
+          ") — the build no longer reproduces the recorded trace");
+    }
+  }
+  return Status::OK();
+}
+
 Result<ReplayResult> VerifyReplay(const RecordedRun& recorded) {
   if (recorded.base_round != 0) {
     return Status::FailedPrecondition(
@@ -188,76 +213,52 @@ Result<ReplayResult> VerifyReplay(const RecordedRun& recorded) {
   }
   auto run = core::CmabHs::Create(recorded.config, recorded.policy);
   CDT_RETURN_NOT_OK(run.status());
-  core::CmabHs& live = *run.value();
-
+  const auto rounds = static_cast<std::int64_t>(recorded.rounds.size());
+  CDT_RETURN_NOT_OK(ReplayTail(recorded, run.value().get(), rounds));
   ReplayResult result;
-  for (std::size_t i = 0; i < recorded.rounds.size(); ++i) {
-    auto report = live.RunRound();
-    CDT_RETURN_NOT_OK(report.status());
-    const std::string bytes = CanonicalRoundBytes(report.value());
-    if (bytes != recorded.round_payloads[i]) {
-      return Status::Internal(
-          "replay diverged at round " + std::to_string(i + 1) +
-          " (differing fields: " +
-          DivergenceDetail(recorded.rounds[i], report.value()) +
-          ") — the build no longer reproduces the recorded trace");
-    }
-    ++result.rounds_verified;
-  }
+  result.rounds_verified = rounds;
   return result;
 }
 
-Result<ResumedRun> ResumeFromSnapshot(const RecordedRun& recorded,
-                                      const SnapshotFile& snapshot) {
+Result<std::unique_ptr<core::CmabHs>> RestoreFromSnapshot(
+    const RecordedRun& recorded, const SnapshotFile& snapshot) {
   if (snapshot.config_crc != recorded.config_crc) {
     return Status::FailedPrecondition(
         "snapshot belongs to a different recording (config CRC "
         "mismatch)");
   }
+  // The snapshot must cover a round the log can continue from: past its
+  // rebase base (earlier rounds were compacted away) and not beyond it.
   const std::int64_t snapshot_round = snapshot.snapshot.next_round - 1;
   const std::int64_t recorded_rounds =
       recorded.base_round + static_cast<std::int64_t>(recorded.rounds.size());
-  if (snapshot_round < 0 || snapshot_round > recorded_rounds) {
+  if (snapshot_round < recorded.base_round ||
+      snapshot_round > recorded_rounds) {
     return Status::FailedPrecondition(
         "snapshot covers round " + std::to_string(snapshot_round) +
-        " but the log holds only " + std::to_string(recorded_rounds) +
-        " rounds");
-  }
-  if (snapshot_round < recorded.base_round) {
-    return Status::FailedPrecondition(
-        "snapshot covers round " + std::to_string(snapshot_round) +
-        " but the log was rebased at round " +
-        std::to_string(recorded.base_round) +
-        "; rounds in between were compacted away");
+        " but the log continues only from rounds [" +
+        std::to_string(recorded.base_round) + ", " +
+        std::to_string(recorded_rounds) + "]");
   }
 
   auto run = core::CmabHs::Create(recorded.config, recorded.policy);
   CDT_RETURN_NOT_OK(run.status());
-  core::CmabHs& live = *run.value();
   CDT_RETURN_NOT_OK(
-      live.mutable_engine().RestoreSnapshot(snapshot.snapshot));
+      run.value()->mutable_engine().RestoreSnapshot(snapshot.snapshot));
+  return run;
+}
 
-  // Tail-replay: re-execute the recorded rounds past the snapshot and
-  // hold them to the same byte-identical standard as a full replay.
-  for (std::int64_t round = snapshot_round + 1; round <= recorded_rounds;
-       ++round) {
-    auto report = live.RunRound();
-    CDT_RETURN_NOT_OK(report.status());
-    const std::string bytes = CanonicalRoundBytes(report.value());
-    const auto index =
-        static_cast<std::size_t>(round - recorded.base_round - 1);
-    if (bytes != recorded.round_payloads[index]) {
-      return Status::Internal(
-          "tail-replay diverged at round " + std::to_string(round) +
-          " (differing fields: " +
-          DivergenceDetail(recorded.rounds[index], report.value()) + ")");
-    }
-  }
-
+Result<ResumedRun> ResumeFromSnapshot(const RecordedRun& recorded,
+                                      const SnapshotFile& snapshot) {
+  auto run = RestoreFromSnapshot(recorded, snapshot);
+  CDT_RETURN_NOT_OK(run.status());
   ResumedRun resumed;
   resumed.run = std::move(run).value();
-  resumed.snapshot_round = snapshot_round;
-  resumed.resumed_round = recorded_rounds;
+  resumed.snapshot_round = resumed.run->engine().current_round();
+  resumed.resumed_round =
+      recorded.base_round + static_cast<std::int64_t>(recorded.rounds.size());
+  CDT_RETURN_NOT_OK(
+      ReplayTail(recorded, resumed.run.get(), resumed.resumed_round));
   return resumed;
 }
 

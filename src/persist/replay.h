@@ -10,6 +10,8 @@
 // Also hosts snapshot resume: restore an engine from a snapshot file and
 // tail-replay the recorded rounds past it, verifying each, leaving a live
 // run positioned exactly where the recording stopped.
+// Full replay, resume and marketplace recovery all re-run rounds through
+// the one byte-verified loop in ReplayTail.
 
 #ifndef CDT_PERSIST_REPLAY_H_
 #define CDT_PERSIST_REPLAY_H_
@@ -61,6 +63,14 @@ util::Result<RecordedRun> LoadRecordedRun(const std::string& path,
 /// replayer and tests share one definition.
 std::string CanonicalRoundBytes(const market::RoundReport& report);
 
+/// Re-executes recorded rounds (run's current round, through_round] on
+/// `run`, byte-comparing each with `recorded.round_payloads`. The first
+/// divergence is Internal, naming the round and differing fields; a range
+/// outside the log is OutOfRange. Callers may mutate `run` between calls
+/// (recovery re-applies seller flips this way).
+util::Status ReplayTail(const RecordedRun& recorded, core::CmabHs* run,
+                        std::int64_t through_round);
+
 /// Outcome of a successful verification.
 struct ReplayResult {
   std::int64_t rounds_verified = 0;
@@ -88,9 +98,13 @@ struct ResumedRun {
   std::int64_t resumed_round = 0;
 };
 
-/// Restores from `snapshot` (which must pair with `recorded` — config
-/// CRCs are compared) and tail-replays recorded rounds
-/// (snapshot_round, end], verifying each byte-for-byte.
+/// Rebuilds the run and restores `snapshot` into it. FailedPrecondition
+/// when the config CRCs differ or the snapshot's round is outside
+/// [base_round, last recorded round].
+util::Result<std::unique_ptr<core::CmabHs>> RestoreFromSnapshot(
+    const RecordedRun& recorded, const SnapshotFile& snapshot);
+
+/// RestoreFromSnapshot, then ReplayTail through the last recorded round.
 util::Result<ResumedRun> ResumeFromSnapshot(const RecordedRun& recorded,
                                             const SnapshotFile& snapshot);
 

@@ -70,18 +70,11 @@ const char* DurabilityGuard::HealthName(Health health) {
   return "unknown";
 }
 
+/// The recorder checks its own options (log/snapshot paths, cadence)
+/// when it opens; the guard checks only what is its own.
 static Status ValidateOptions(const DurabilityGuard::Options& options) {
-  if (options.log_path.empty()) {
-    return Status::InvalidArgument("DurabilityGuard needs a log_path");
-  }
   if (options.journal_path.empty()) {
     return Status::InvalidArgument("DurabilityGuard needs a journal_path");
-  }
-  if (options.snapshot_every < 0) {
-    return Status::InvalidArgument("snapshot_every must be >= 0");
-  }
-  if (options.snapshot_every > 0 && options.snapshot_path.empty()) {
-    return Status::InvalidArgument("snapshot_every > 0 needs a snapshot_path");
   }
   if (options.tuning.degrade_after_failures < 1) {
     return Status::InvalidArgument("degrade_after_failures must be >= 1");
@@ -95,7 +88,7 @@ static Status ValidateOptions(const DurabilityGuard::Options& options) {
     return Status::InvalidArgument("compact_after_rounds must be >= 0");
   }
   if (options.tuning.compact_after_rounds > 0 &&
-      options.snapshot_path.empty()) {
+      options.recorder.snapshot_path.empty()) {
     return Status::InvalidArgument(
         "compaction needs a snapshot_path (the rebased log resumes from "
         "the snapshot)");
@@ -107,14 +100,14 @@ Result<std::unique_ptr<DurabilityGuard>> DurabilityGuard::Create(
     Options options, const core::MechanismConfig& config,
     const core::PolicySpec& policy) {
   CDT_RETURN_NOT_OK(ValidateOptions(options));
-  auto log = persist::EventLogWriter::Open(options.log_path, config, policy);
-  CDT_RETURN_NOT_OK(log.status());
+  auto recorder = persist::RunRecorder::Create(options.recorder, config,
+                                               policy);
+  CDT_RETURN_NOT_OK(recorder.status());
   auto journal = JournalWriter::Open(options.journal_path);
   CDT_RETURN_NOT_OK(journal.status());
   std::unique_ptr<DurabilityGuard> guard(
       new DurabilityGuard(std::move(options), config, policy));
-  guard->config_crc_ = log.value()->config_crc();
-  guard->log_ = std::move(log).value();
+  guard->recorder_ = std::move(recorder).value();
   guard->journal_ = std::move(journal).value();
   return guard;
 }
@@ -123,16 +116,15 @@ Result<std::unique_ptr<DurabilityGuard>> DurabilityGuard::Attach(
     Options options, const core::MechanismConfig& config,
     const core::PolicySpec& policy) {
   CDT_RETURN_NOT_OK(ValidateOptions(options));
-  auto log = persist::EventLogWriter::OpenForAppend(options.log_path);
-  CDT_RETURN_NOT_OK(log.status());
+  auto recorder = persist::RunRecorder::Attach(options.recorder);
+  CDT_RETURN_NOT_OK(recorder.status());
   auto journal = JournalWriter::Open(options.journal_path);
   CDT_RETURN_NOT_OK(journal.status());
   std::unique_ptr<DurabilityGuard> guard(
       new DurabilityGuard(std::move(options), config, policy));
-  guard->config_crc_ = log.value()->config_crc();
   guard->last_rebase_round_ =
-      log.value()->rounds_written();  // conservative: never compacted
-  guard->log_ = std::move(log).value();
+      recorder.value()->rounds_recorded();  // conservative: never compacted
+  guard->recorder_ = std::move(recorder).value();
   guard->journal_ = std::move(journal).value();
   return guard;
 }
@@ -148,7 +140,7 @@ Status DurabilityGuard::OnRound(const market::TradingEngine& engine,
     case Health::kDurable:
       break;
   }
-  Status status = AppendDurable(engine, report);
+  Status status = recorder_->OnRound(engine, report);
   if (!status.ok()) {
     if (!IsStorageFailure(status)) return status;
     RecordWalFailure(status, report.round);
@@ -172,30 +164,11 @@ Status DurabilityGuard::OnRound(const market::TradingEngine& engine,
   return Status::OK();
 }
 
-Status DurabilityGuard::AppendDurable(const market::TradingEngine& engine,
-                                      const market::RoundReport& report) {
-  CDT_RETURN_NOT_OK(log_->AppendRound(report));
-  const bool checkpoint = options_.snapshot_every > 0 &&
-                          report.round % options_.snapshot_every == 0;
-  if (checkpoint) {
-    // Snapshot first, note second: the log never claims a snapshot that
-    // did not reach disk (same discipline as RunRecorder).
-    CDT_RETURN_NOT_OK(persist::WriteSnapshotFile(
-        options_.snapshot_path, config_crc_, engine.CaptureSnapshot()));
-    CDT_RETURN_NOT_OK(log_->AppendSnapshotNote(report.round));
-  }
-  return Status::OK();
-}
-
 void DurabilityGuard::Journal(const JournalEntry& entry) {
   if (journal_ == nullptr) return;  // degraded: rides in the next snapshot
   Status status = journal_->Append(entry);
   if (status.ok()) return;
-  last_error_ = status;
-  ++wal_failures_;
-  Count("cdt_runtime_durability_wal_failures_total",
-        "WAL write failures absorbed by durability guards",
-        &g_wal_failures);
+  CountWalFailure(status);
   // The flip is applied but not journaled: the current log can no longer
   // reproduce the engine, so continuing to append rounds would poison
   // recovery silently. Degrade now; the re-arm snapshot's activity
@@ -205,14 +178,9 @@ void DurabilityGuard::Journal(const JournalEntry& entry) {
 
 Status DurabilityGuard::CheckpointNow(const market::TradingEngine& engine) {
   if (health_ != Health::kDurable) return Status::OK();
-  if (options_.snapshot_path.empty()) return Status::OK();
-  const std::int64_t round = engine.current_round();
-  if (round < 1 || round != log_->rounds_written()) return Status::OK();
-  Status status = persist::WriteSnapshotFile(
-      options_.snapshot_path, config_crc_, engine.CaptureSnapshot());
-  if (status.ok()) status = log_->AppendSnapshotNote(round);
+  Status status = recorder_->CheckpointNow(engine);
   if (!status.ok() && IsStorageFailure(status)) {
-    RecordWalFailure(status, round);
+    RecordWalFailure(status, engine.current_round());
     return Status::OK();
   }
   return status;
@@ -220,29 +188,17 @@ Status DurabilityGuard::CheckpointNow(const market::TradingEngine& engine) {
 
 Status DurabilityGuard::Rebase(const market::TradingEngine& engine,
                                std::int64_t round) {
-  if (options_.snapshot_path.empty()) {
-    return Status::FailedPrecondition(
-        "cannot rebase '" + options_.log_path +
-        "' without a snapshot path (snapshots are disabled)");
-  }
-  log_.reset();
+  recorder_.reset();
   journal_.reset();
-  // The snapshot must land before the rebased log exists: a crash in
-  // between leaves the old log + new snapshot, which still recovers.
-  CDT_RETURN_NOT_OK(persist::WriteSnapshotFile(
-      options_.snapshot_path, config_crc_, engine.CaptureSnapshot()));
-  auto log = persist::EventLogWriter::OpenRebased(options_.log_path, config_,
-                                                  policy_, round);
-  CDT_RETURN_NOT_OK(log.status());
-  if (round >= 1) {
-    CDT_RETURN_NOT_OK(log.value()->AppendSnapshotNote(round));
-  }
+  auto recorder = persist::RunRecorder::Rebase(options_.recorder, config_,
+                                               policy_, engine, round);
+  CDT_RETURN_NOT_OK(recorder.status());
   // Journaled flips all have effect_round <= round, so they are inside
   // the snapshot's activity bitmap — the journal restarts empty.
   std::remove(options_.journal_path.c_str());
   auto journal = JournalWriter::Open(options_.journal_path);
   CDT_RETURN_NOT_OK(journal.status());
-  log_ = std::move(log).value();
+  recorder_ = std::move(recorder).value();
   journal_ = std::move(journal).value();
   last_rebase_round_ = round;
   return Status::OK();
@@ -253,11 +209,12 @@ Status DurabilityGuard::Compact(const market::TradingEngine& engine,
   if (tuning().retain_compacted) {
     // Seal the outgoing segment so the retained artifact is a valid,
     // footer-complete log in its own right.
-    CDT_RETURN_NOT_OK(log_->Finish());
+    CDT_RETURN_NOT_OK(recorder_->Finish());
     // Past this point the writer is sealed and can never accept another
     // append: any failure below must surface as a storage failure so
     // OnRound degrades (dropping the dead writer) rather than retrying.
-    const std::string retained = options_.log_path + ".old";
+    const std::string& log_path = options_.recorder.log_path;
+    const std::string retained = log_path + ".old";
     std::remove(retained.c_str());
     const persist::IoDecision rename_fault =
         persist::IoHooks::Instance().Check(persist::IoOp::kRename);
@@ -266,7 +223,7 @@ Status DurabilityGuard::Compact(const market::TradingEngine& engine,
       return Status::IoError("cannot retain compacted segment as '" +
                              retained + "': injected rename fault");
     }
-    if (std::rename(options_.log_path.c_str(), retained.c_str()) != 0) {
+    if (std::rename(log_path.c_str(), retained.c_str()) != 0) {
       return Status::IoError("cannot retain compacted segment as '" +
                              retained + "'");
     }
@@ -289,19 +246,10 @@ void DurabilityGuard::TryRearm(const market::TradingEngine& engine,
   ++rearm_attempts_;
   Status status = Rebase(engine, round);
   if (status.ok()) {
-    health_ = Health::kDurable;
-    consecutive_failures_ = 0;
-    ++rearms_;
-    Count("cdt_runtime_durability_rearms_total",
-          "Degraded marketplaces restored to full durability",
-          &g_rearms);
+    MarkRearmed();
     return;
   }
-  last_error_ = status;
-  ++wal_failures_;
-  Count("cdt_runtime_durability_wal_failures_total",
-        "WAL write failures absorbed by durability guards",
-        &g_wal_failures);
+  CountWalFailure(status);
   if (tuning().max_rearm_attempts > 0 &&
       rearm_attempts_ >= tuning().max_rearm_attempts) {
     MarkFailed();
@@ -311,20 +259,32 @@ void DurabilityGuard::TryRearm(const market::TradingEngine& engine,
   next_rearm_round_ = round + rearm_backoff_;
 }
 
-void DurabilityGuard::RecordWalFailure(const Status& status,
-                                       std::int64_t round) {
+void DurabilityGuard::CountWalFailure(const Status& status) {
   last_error_ = status;
   ++wal_failures_;
   Count("cdt_runtime_durability_wal_failures_total",
         "WAL write failures absorbed by durability guards",
         &g_wal_failures);
+}
+
+void DurabilityGuard::MarkRearmed() {
+  health_ = Health::kDurable;
+  consecutive_failures_ = 0;
+  ++rearms_;
+  Count("cdt_runtime_durability_rearms_total",
+        "Degraded marketplaces restored to full durability", &g_rearms);
+}
+
+void DurabilityGuard::RecordWalFailure(const Status& status,
+                                       std::int64_t round) {
+  CountWalFailure(status);
   // Failed atomic writes may strand our own temp file (ENOSPC mid-write,
   // simulated crash): clear this marketplace's stem immediately. The
   // directory-wide sweep runs at service startup, where no writer races.
-  if (!options_.snapshot_path.empty()) {
-    std::remove((options_.snapshot_path + ".tmp").c_str());
+  if (!options_.recorder.snapshot_path.empty()) {
+    std::remove((options_.recorder.snapshot_path + ".tmp").c_str());
   }
-  std::remove((options_.log_path + ".tmp").c_str());
+  std::remove((options_.recorder.log_path + ".tmp").c_str());
   if (++consecutive_failures_ >= tuning().degrade_after_failures) {
     Degrade(round);
   }
@@ -339,7 +299,7 @@ void DurabilityGuard::Degrade(std::int64_t round) {
         &g_degrades);
   // Drop the poisoned writers: sticky errors make in-place retries
   // futile, and re-arm opens fresh files anyway.
-  log_.reset();
+  recorder_.reset();
   journal_.reset();
   rearm_attempts_ = 0;
   rearm_backoff_ = tuning().rearm_initial_rounds;
@@ -362,7 +322,7 @@ Status DurabilityGuard::Finish(const market::TradingEngine& engine) {
         // The final checkpoint itself tripped the breaker.
         return last_error_;
       }
-      Status finish = log_->Finish();
+      Status finish = recorder_->Finish();
       if (status.ok()) status = finish;
       Status closed = journal_->Close();
       if (status.ok()) status = closed;
@@ -376,12 +336,8 @@ Status DurabilityGuard::Finish(const market::TradingEngine& engine) {
         last_error_ = status;
         return status;
       }
-      health_ = Health::kDurable;
-      ++rearms_;
-      Count("cdt_runtime_durability_rearms_total",
-            "Degraded marketplaces restored to full durability",
-            &g_rearms);
-      Status finish = log_->Finish();
+      MarkRearmed();
+      Status finish = recorder_->Finish();
       Status closed = journal_->Close();
       return !finish.ok() ? finish : closed;
     }

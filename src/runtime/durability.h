@@ -1,9 +1,9 @@
 // DurabilityGuard: the per-marketplace durability circuit breaker.
 //
-// The guard owns a marketplace's WAL writers (event log + seller-flip
-// journal) and sits on the engine as a RoundObserver. Storage failures no
-// longer crash the shard; instead the guard walks an explicit
-// health-state machine:
+// The guard owns a marketplace's WAL writers (a persist::RunRecorder, which
+// writes every durable round, + the seller-flip journal) and sits on the
+// engine as a RoundObserver. Storage failures no longer crash the shard;
+// instead the guard walks an explicit health-state machine:
 //
 //   kDurable   — every settled round is appended + checkpointed; the
 //                recovery contract (snapshot + byte-verified tail replay)
@@ -40,7 +40,7 @@
 
 #include "core/config.h"
 #include "market/invariants.h"
-#include "persist/event_log.h"
+#include "persist/recorder.h"
 #include "runtime/journal.h"
 #include "util/status.h"
 
@@ -87,10 +87,8 @@ class DurabilityGuard final : public market::RoundObserver {
   };
 
   struct Options {
-    std::string log_path;
-    std::string snapshot_path;  // empty only when snapshot_every == 0
+    persist::RunRecorder::Options recorder;  // validated by the recorder
     std::string journal_path;
-    std::int64_t snapshot_every = 0;
     Tuning tuning;
   };
 
@@ -151,8 +149,6 @@ class DurabilityGuard final : public market::RoundObserver {
 
   const Tuning& tuning() const { return options_.tuning; }
 
-  util::Status AppendDurable(const market::TradingEngine& engine,
-                             const market::RoundReport& report);
   /// Snapshot the full campaign state, swing in a rebased log starting
   /// at `round`, reset the journal. The core of re-arm and compaction.
   util::Status Rebase(const market::TradingEngine& engine,
@@ -160,6 +156,8 @@ class DurabilityGuard final : public market::RoundObserver {
   util::Status Compact(const market::TradingEngine& engine,
                        std::int64_t round);
   void TryRearm(const market::TradingEngine& engine, std::int64_t round);
+  void CountWalFailure(const util::Status& status);
+  void MarkRearmed();
   void RecordWalFailure(const util::Status& status, std::int64_t round);
   void Degrade(std::int64_t round);
   void MarkFailed();
@@ -171,9 +169,8 @@ class DurabilityGuard final : public market::RoundObserver {
   // path that dismantles them (Rebase, Compact) either swings in fresh
   // writers or leaves the guard degraded/failed — never kDurable with a
   // null writer.
-  std::unique_ptr<persist::EventLogWriter> log_;
+  std::unique_ptr<persist::RunRecorder> recorder_;
   std::unique_ptr<JournalWriter> journal_;
-  std::uint32_t config_crc_ = 0;
 
   Health health_ = Health::kDurable;
   int consecutive_failures_ = 0;

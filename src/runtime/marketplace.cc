@@ -30,6 +30,27 @@ std::string MarketplaceJournalPath(const std::string& wal_dir,
   return wal_dir + "/" + id + ".events";
 }
 
+namespace {
+
+/// Marketplace `id`'s WAL files and cadence; snapshots are on when
+/// checkpoints or compaction need them.
+DurabilityGuard::Options GuardOptions(
+    const std::string& id, const HostedMarketplace::Options& options) {
+  DurabilityGuard::Options guard_options;
+  guard_options.recorder.log_path = MarketplaceLogPath(options.wal_dir, id);
+  guard_options.recorder.snapshot_every = options.snapshot_every;
+  if (options.snapshot_every > 0 ||
+      options.durability.compact_after_rounds > 0) {
+    guard_options.recorder.snapshot_path =
+        MarketplaceSnapshotPath(options.wal_dir, id);
+  }
+  guard_options.journal_path = MarketplaceJournalPath(options.wal_dir, id);
+  guard_options.tuning = options.durability;
+  return guard_options;
+}
+
+}  // namespace
+
 const char* HostedMarketplace::StateName(State state) {
   switch (state) {
     case State::kActive: return "active";
@@ -56,16 +77,7 @@ Result<std::unique_ptr<HostedMarketplace>> HostedMarketplace::Create(
   std::remove(MarketplaceSnapshotPath(options.wal_dir, id).c_str());
   std::remove(MarketplaceJournalPath(options.wal_dir, id).c_str());
 
-  DurabilityGuard::Options guard_options;
-  guard_options.log_path = MarketplaceLogPath(options.wal_dir, id);
-  guard_options.journal_path = MarketplaceJournalPath(options.wal_dir, id);
-  guard_options.snapshot_every = options.snapshot_every;
-  if (options.snapshot_every > 0 ||
-      options.durability.compact_after_rounds > 0) {
-    guard_options.snapshot_path = MarketplaceSnapshotPath(options.wal_dir, id);
-  }
-  guard_options.tuning = options.durability;
-  auto guard = DurabilityGuard::Create(std::move(guard_options), spec.config,
+  auto guard = DurabilityGuard::Create(GuardOptions(id, options), spec.config,
                                        spec.policy);
   CDT_RETURN_NOT_OK(guard.status());
 
@@ -78,92 +90,70 @@ Result<std::unique_ptr<HostedMarketplace>> HostedMarketplace::Create(
 
 Result<std::unique_ptr<HostedMarketplace>> HostedMarketplace::Recover(
     const std::string& id, const Options& options) {
-  const std::string log_path = MarketplaceLogPath(options.wal_dir, id);
-  const std::string snap_path = MarketplaceSnapshotPath(options.wal_dir, id);
-  const std::string journal_path =
-      MarketplaceJournalPath(options.wal_dir, id);
-
-  auto loaded = persist::LoadRecordedRun(log_path, /*allow_torn_tail=*/true);
+  auto loaded = persist::LoadRecordedRun(
+      MarketplaceLogPath(options.wal_dir, id), /*allow_torn_tail=*/true);
   CDT_RETURN_NOT_OK(loaded.status());
   const persist::RecordedRun& recorded = loaded.value();
-  const std::int64_t base_round = recorded.base_round;
   const std::int64_t last_round =
-      base_round + static_cast<std::int64_t>(recorded.rounds.size());
+      recorded.base_round + static_cast<std::int64_t>(recorded.rounds.size());
 
-  auto journal_read = ReadJournal(journal_path);
-  CDT_RETURN_NOT_OK(journal_read.status());
-  const std::vector<JournalEntry>& flips = journal_read.value().entries;
+  auto journal = ReadJournal(MarketplaceJournalPath(options.wal_dir, id));
+  CDT_RETURN_NOT_OK(journal.status());
+  const std::vector<JournalEntry>& flips = journal.value().entries;
 
   // Prefer snapshot + tail-replay; any snapshot problem (missing file,
   // config mismatch, restore-unsafe policy) degrades to a full replay —
   // slower, never wrong. A rebased (compacted) log holds no rounds before
   // its base, so there the snapshot is mandatory.
   std::unique_ptr<core::CmabHs> run;
-  std::int64_t resume_round = 0;
-  auto snap = persist::ReadSnapshotFile(snap_path);
-  if (snap.ok() && snap.value().config_crc == recorded.config_crc) {
-    const std::int64_t snap_round = snap.value().snapshot.next_round - 1;
-    if (snap_round >= base_round && snap_round <= last_round) {
-      auto candidate = core::CmabHs::Create(recorded.config, recorded.policy);
-      CDT_RETURN_NOT_OK(candidate.status());
-      if (candidate.value()
-              ->mutable_engine()
-              .RestoreSnapshot(snap.value().snapshot)
-              .ok()) {
-        run = std::move(candidate).value();
-        resume_round = snap_round;
-      }
-    }
+  auto snap =
+      persist::ReadSnapshotFile(MarketplaceSnapshotPath(options.wal_dir, id));
+  if (snap.ok()) {
+    auto restored = persist::RestoreFromSnapshot(recorded, snap.value());
+    if (restored.ok()) run = std::move(restored).value();
   }
   if (run == nullptr) {
-    if (base_round > 0) {
+    if (recorded.base_round > 0) {
       return Status::Corruption(
           "marketplace '" + id + "' has a log rebased at round " +
-          std::to_string(base_round) +
+          std::to_string(recorded.base_round) +
           " but no usable snapshot — rounds before the base are "
           "unrecoverable");
     }
-    auto candidate = core::CmabHs::Create(recorded.config, recorded.policy);
-    CDT_RETURN_NOT_OK(candidate.status());
-    run = std::move(candidate).value();
+    auto fresh = core::CmabHs::Create(recorded.config, recorded.policy);
+    CDT_RETURN_NOT_OK(fresh.status());
+    run = std::move(fresh).value();
   }
+  const std::int64_t resume_round = run->engine().current_round();
 
-  // Interleaved, byte-verified tail replay: journaled activity flips
-  // re-apply exactly when the cursor reaches their effect round, so every
-  // re-executed coalition sees the activity state the original saw.
-  // Flips already inside the snapshot's bitmap (effect_round <= the
-  // snapshot's round) are skipped; re-application ignores per-flip status
+  // Byte-verified tail replay, one group of journaled activity flips at a
+  // time: a group re-applies when the cursor reaches its effect round, so
+  // every re-executed coalition sees the activity state the original saw.
+  // Flips inside the snapshot's bitmap (effect_round <= its round) are
+  // skipped; flips past the last settled round (journaled just before the
+  // crash) apply after the replay. Re-application ignores per-flip status
   // like the live path does (deterministic refusals refuse again here).
-  std::size_t next_flip = 0;
-  while (next_flip < flips.size() &&
-         flips[next_flip].effect_round <= resume_round) {
-    ++next_flip;
+  std::size_t next = 0;
+  while (next < flips.size() && flips[next].effect_round <= resume_round) {
+    ++next;
   }
-  for (std::int64_t round = resume_round + 1; round <= last_round; ++round) {
-    while (next_flip < flips.size() &&
-           flips[next_flip].effect_round == round) {
-      const JournalEntry& flip = flips[next_flip];
+  for (std::int64_t cursor = resume_round;;
+       cursor = run->engine().current_round()) {
+    for (; next < flips.size() && (flips[next].effect_round <= cursor + 1 ||
+                                   cursor == last_round);
+         ++next) {
       (void)run->mutable_engine().SetSellerActive(
-          flip.seller, flip.type == EventType::kSellerReturn);
-      ++next_flip;
+          flips[next].seller, flips[next].type == EventType::kSellerReturn);
     }
-    auto report = run->RunRound();
-    CDT_RETURN_NOT_OK(report.status());
-    if (persist::CanonicalRoundBytes(report.value()) !=
-        recorded
-            .round_payloads[static_cast<std::size_t>(round - base_round - 1)]) {
-      return Status::Internal(
-          "marketplace '" + id + "' recovery diverged at round " +
-          std::to_string(round) +
-          " — WAL does not reproduce under this build");
+    if (cursor == last_round) break;
+    const std::int64_t through =
+        next < flips.size() ? std::min(flips[next].effect_round - 1, last_round)
+                            : last_round;
+    Status replayed = persist::ReplayTail(recorded, run.get(), through);
+    if (!replayed.ok()) {
+      return Status(replayed.code(),
+                    "marketplace '" + id + "' recovery: " + replayed.message());
     }
-  }
-  // Flips applied after the last settled round but before the crash.
-  while (next_flip < flips.size()) {
-    const JournalEntry& flip = flips[next_flip];
-    (void)run->mutable_engine().SetSellerActive(
-        flip.seller, flip.type == EventType::kSellerReturn);
-    ++next_flip;
   }
 
   std::unique_ptr<HostedMarketplace> marketplace(
@@ -174,16 +164,7 @@ Result<std::unique_ptr<HostedMarketplace>> HostedMarketplace::Recover(
     return marketplace;
   }
 
-  DurabilityGuard::Options guard_options;
-  guard_options.log_path = log_path;
-  guard_options.journal_path = journal_path;
-  guard_options.snapshot_every = options.snapshot_every;
-  if (options.snapshot_every > 0 ||
-      options.durability.compact_after_rounds > 0) {
-    guard_options.snapshot_path = snap_path;
-  }
-  guard_options.tuning = options.durability;
-  auto guard = DurabilityGuard::Attach(std::move(guard_options),
+  auto guard = DurabilityGuard::Attach(GuardOptions(id, options),
                                        recorded.config, recorded.policy);
   CDT_RETURN_NOT_OK(guard.status());
   marketplace->guard_ = guard.value().get();

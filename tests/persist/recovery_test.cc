@@ -4,9 +4,13 @@
 // campaign live, and bit-compare the spliced run-log CSV against an
 // uninterrupted run of the same config. Faults and invariant checks stay
 // armed throughout, so recovery is proven over the degraded path too.
+// Also covers RunRecorder::Attach continuing a torn log, and that every
+// replay entry point names the round and field of a divergence.
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -16,8 +20,10 @@
 #include "core/config.h"
 #include "market/run_log.h"
 #include "persist/atomic_io.h"
+#include "persist/event_log.h"
 #include "persist/recorder.h"
 #include "persist/replay.h"
+#include "runtime/marketplace.h"
 #include "stats/rng.h"
 
 namespace cdt {
@@ -52,6 +58,7 @@ class RecoveryTest : public ::testing::Test {
     snapshot_path_ = stem + ".cdtsnap";
     baseline_csv_ = stem + "_baseline.csv";
     recovered_csv_ = stem + "_recovered.csv";
+    wal_dir_ = stem + "_wal";
   }
 
   void TearDown() override {
@@ -59,6 +66,16 @@ class RecoveryTest : public ::testing::Test {
          {log_path_, snapshot_path_, baseline_csv_, recovered_csv_}) {
       std::filesystem::remove(path);
     }
+    std::filesystem::remove_all(wal_dir_);
+  }
+
+  RunRecorder::Options RecorderOptions(const std::string& log_path,
+                                       const std::string& snapshot_path) {
+    RunRecorder::Options options;
+    options.log_path = log_path;
+    options.snapshot_path = snapshot_path;
+    options.snapshot_every = kSnapshotEvery;
+    return options;
   }
 
   /// Runs the campaign uninterrupted, writing every round to `csv_path`.
@@ -81,11 +98,8 @@ class RecoveryTest : public ::testing::Test {
   void RunAndCrash(std::int64_t crash_round) {
     auto run = core::CmabHs::Create(CampaignConfig());
     ASSERT_TRUE(run.ok()) << run.status().ToString();
-    RunRecorder::Options options;
-    options.log_path = log_path_;
-    options.snapshot_path = snapshot_path_;
-    options.snapshot_every = kSnapshotEvery;
-    auto recorder = RunRecorder::Create(options, CampaignConfig(), {});
+    auto recorder = RunRecorder::Create(
+        RecorderOptions(log_path_, snapshot_path_), CampaignConfig(), {});
     ASSERT_TRUE(recorder.ok()) << recorder.status().ToString();
     run.value()->mutable_engine().AddObserver(std::move(recorder).value());
     for (std::int64_t round = 0; round < crash_round; ++round) {
@@ -140,6 +154,7 @@ class RecoveryTest : public ::testing::Test {
     EXPECT_EQ(recovered.value(), baseline.value());
   }
 
+  std::string wal_dir_;
   std::string log_path_;
   std::string snapshot_path_;
   std::string baseline_csv_;
@@ -240,11 +255,8 @@ TEST_F(RecoveryTest, SealedLogLoadsStrictAndResumes) {
   {
     auto run = core::CmabHs::Create(CampaignConfig());
     ASSERT_TRUE(run.ok()) << run.status().ToString();
-    RunRecorder::Options options;
-    options.log_path = log_path_;
-    options.snapshot_path = snapshot_path_;
-    options.snapshot_every = kSnapshotEvery;
-    auto recorder = RunRecorder::Create(options, CampaignConfig(), {});
+    auto recorder = RunRecorder::Create(
+        RecorderOptions(log_path_, snapshot_path_), CampaignConfig(), {});
     ASSERT_TRUE(recorder.ok()) << recorder.status().ToString();
     RunRecorder* rec = recorder.value().get();
     run.value()->mutable_engine().AddObserver(std::move(recorder).value());
@@ -261,6 +273,127 @@ TEST_F(RecoveryTest, SealedLogLoadsStrictAndResumes) {
   auto resumed = ResumeFromSnapshot(recorded.value(), snapshot.value());
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_EQ(resumed.value().resumed_round, kRounds);
+}
+
+TEST_F(RecoveryTest, AttachContinuesTornLogByteIdentically) {
+  // Reference: one uninterrupted, sealed recording.
+  const std::string ref_log = log_path_ + ".ref";
+  const std::string ref_snapshot = snapshot_path_ + ".ref";
+  {
+    auto run = core::CmabHs::Create(CampaignConfig());
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    auto recorder = RunRecorder::Create(
+        RecorderOptions(ref_log, ref_snapshot), CampaignConfig(), {});
+    ASSERT_TRUE(recorder.ok()) << recorder.status().ToString();
+    RunRecorder* rec = recorder.value().get();
+    run.value()->mutable_engine().AddObserver(std::move(recorder).value());
+    ASSERT_TRUE(run.value()->RunAll().ok());
+    ASSERT_TRUE(rec->Finish().ok());
+  }
+
+  // Crash after round 37, then tear its record: the surviving prefix
+  // ends at round 36, past the round-30 snapshot.
+  RunAndCrash(37);
+  std::filesystem::resize_file(log_path_,
+                               std::filesystem::file_size(log_path_) - 3);
+  {
+    auto recorded = LoadRecordedRun(log_path_, /*allow_torn_tail=*/true);
+    ASSERT_TRUE(recorded.ok()) << recorded.status().ToString();
+    EXPECT_TRUE(recorded.value().torn_tail);
+    ASSERT_EQ(recorded.value().rounds.size(), 36u);
+    auto snapshot = ReadSnapshotFile(snapshot_path_);
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    auto resumed = ResumeFromSnapshot(recorded.value(), snapshot.value());
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+
+    auto recorder =
+        RunRecorder::Attach(RecorderOptions(log_path_, snapshot_path_));
+    ASSERT_TRUE(recorder.ok()) << recorder.status().ToString();
+    EXPECT_EQ(recorder.value()->rounds_recorded(), 36);
+    EXPECT_EQ(recorder.value()->config_crc(), recorded.value().config_crc);
+    RunRecorder* rec = recorder.value().get();
+    resumed.value().run->mutable_engine().AddObserver(
+        std::move(recorder).value());
+    ASSERT_TRUE(resumed.value().run->RunAll().ok());
+    ASSERT_TRUE(rec->Finish().ok());
+  }
+
+  auto recorded = LoadRecordedRun(log_path_);
+  ASSERT_TRUE(recorded.ok()) << recorded.status().ToString();
+  EXPECT_TRUE(recorded.value().sealed);
+  auto verified = VerifyReplay(recorded.value());
+  ASSERT_TRUE(verified.ok()) << verified.status().ToString();
+  EXPECT_EQ(verified.value().rounds_verified, kRounds);
+  EXPECT_EQ(ReadFileBytes(log_path_).value(), ReadFileBytes(ref_log).value());
+  EXPECT_EQ(ReadFileBytes(snapshot_path_).value(),
+            ReadFileBytes(ref_snapshot).value());
+  std::filesystem::remove(ref_log);
+  std::filesystem::remove(ref_snapshot);
+}
+
+TEST_F(RecoveryTest, DivergenceNamesRoundAndFieldAtEveryReplayEntryPoint) {
+  // A CRC-valid log whose round-23 report carries a consumer price one
+  // ulp off what the build computes, plus a sound round-10 snapshot. Full
+  // replay, snapshot resume and hosted-marketplace recovery all re-run
+  // round 23 through the same loop and must name it and the field.
+  constexpr std::int64_t kNudged = 23;
+  const std::string id = "diverged";
+  std::filesystem::create_directories(wal_dir_);
+  const std::string log_path = runtime::MarketplaceLogPath(wal_dir_, id);
+  {
+    auto run = core::CmabHs::Create(CampaignConfig());
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    auto log = EventLogWriter::Open(log_path, CampaignConfig(), {});
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    for (std::int64_t round = 1; round <= kRounds; ++round) {
+      auto report = run.value()->RunRound();
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      market::RoundReport recorded = report.value();
+      if (round == kNudged) {
+        recorded.consumer_price =
+            std::nextafter(recorded.consumer_price,
+                           std::numeric_limits<double>::infinity());
+      }
+      ASSERT_TRUE(log.value()->AppendRound(recorded).ok());
+      if (round == kSnapshotEvery) {
+        ASSERT_TRUE(WriteSnapshotFile(
+                        runtime::MarketplaceSnapshotPath(wal_dir_, id),
+                        log.value()->config_crc(),
+                        run.value()->engine().CaptureSnapshot())
+                        .ok());
+      }
+    }
+    ASSERT_TRUE(log.value()->Finish().ok());
+  }
+
+  const auto expect_divergence = [&](const util::Status& status,
+                                     const char* entry_point) {
+    EXPECT_EQ(status.code(), util::StatusCode::kInternal)
+        << entry_point << ": " << status.ToString();
+    EXPECT_NE(status.message().find("round " + std::to_string(kNudged) +
+                                    " ("),
+              std::string::npos)
+        << entry_point << ": " << status.ToString();
+    EXPECT_NE(status.message().find("consumer_price"), std::string::npos)
+        << entry_point << ": " << status.ToString();
+  };
+
+  auto recorded = LoadRecordedRun(log_path);
+  ASSERT_TRUE(recorded.ok()) << recorded.status().ToString();
+  expect_divergence(VerifyReplay(recorded.value()).status(), "VerifyReplay");
+
+  auto snapshot =
+      ReadSnapshotFile(runtime::MarketplaceSnapshotPath(wal_dir_, id));
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  expect_divergence(
+      ResumeFromSnapshot(recorded.value(), snapshot.value()).status(),
+      "ResumeFromSnapshot");
+
+  runtime::HostedMarketplace::Options options;
+  options.wal_dir = wal_dir_;
+  options.snapshot_every = kSnapshotEvery;
+  expect_divergence(runtime::HostedMarketplace::Recover(id, options).status(),
+                    "HostedMarketplace::Recover");
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "core/config.h"
 #include "persist/atomic_io.h"
 #include "persist/replay.h"
+#include "persist/serialize.h"
 #include "runtime/marketplace.h"
 #include "runtime/service.h"
 
@@ -291,6 +292,92 @@ TEST_F(SupervisionTest, RecoverRebuildsQuiescentMarketplaceFromWal) {
   // The journaled departure survived the crash.
   EXPECT_FALSE(recovered.value()->run().engine().seller_active(1));
   ASSERT_TRUE(recovered.value()->FinishWal().ok());
+}
+
+/// Drives marketplace "delta" (snapshots every 10 rounds) through
+/// `rounds_before_flip` rounds, a seller leave (effect_round
+/// rounds_before_flip + 1), and on to `rounds_before_crash` rounds, then
+/// crashes and recovers it and finishes at round 30. Its WAL files and
+/// final engine bytes must equal those of an uninterrupted twin.
+class FlipBoundaryRecoveryTest : public SupervisionTest {
+ protected:
+  void ExpectRecoveryMatchesTwin(std::int64_t rounds_before_flip,
+                                 std::int64_t rounds_before_crash);
+};
+
+void FlipBoundaryRecoveryTest::ExpectRecoveryMatchesTwin(
+    std::int64_t rounds_before_flip, std::int64_t rounds_before_crash) {
+  constexpr std::int64_t kTotalRounds = 30;
+  const MarketplaceSpec spec = *SmallSpec(44);
+  auto settle = [](HostedMarketplace* marketplace, std::int64_t rounds) {
+    std::int64_t remaining = 0;
+    ASSERT_TRUE(marketplace
+                    ->ApplyEvent(Demand("delta", rounds), 0, &remaining)
+                    .ok());
+    ASSERT_EQ(remaining, 0);
+  };
+  // The same event sequence, with or without a crash after
+  // rounds_before_crash rounds; returns the final engine bytes.
+  auto drive = [&](const std::string& dir, bool crash) {
+    std::filesystem::create_directories(dir);
+    HostedMarketplace::Options options;
+    options.wal_dir = dir;
+    options.snapshot_every = 10;
+    auto created = HostedMarketplace::Create("delta", spec, options);
+    EXPECT_TRUE(created.ok()) << created.status().ToString();
+    std::unique_ptr<HostedMarketplace> marketplace =
+        std::move(created).value();
+    settle(marketplace.get(), rounds_before_flip);
+    std::int64_t remaining = 0;
+    EXPECT_TRUE(marketplace
+                    ->ApplyEvent(Flip("delta", EventType::kSellerLeave, 3),
+                                 0, &remaining)
+                    .ok());
+    settle(marketplace.get(), rounds_before_crash - rounds_before_flip);
+    if (crash) {
+      marketplace.reset();  // no FinishWal: torn log + journal on disk
+      auto recovered = HostedMarketplace::Recover("delta", options);
+      EXPECT_TRUE(recovered.ok()) << recovered.status().ToString();
+      marketplace = std::move(recovered).value();
+      EXPECT_EQ(marketplace->rounds_settled(), rounds_before_crash);
+    }
+    settle(marketplace.get(), kTotalRounds - rounds_before_crash);
+    EXPECT_FALSE(marketplace->run().engine().seller_active(3));
+    EXPECT_TRUE(marketplace->FinishWal().ok());
+    std::string engine_bytes;
+    persist::EncodeEngineSnapshot(
+        marketplace->run().engine().CaptureSnapshot(), &engine_bytes);
+    return engine_bytes;
+  };
+
+  const std::string ref_dir = stem_ + "_ref";
+  const std::string chaos_dir = stem_ + "_chaos";
+  const std::string twin_engine = drive(ref_dir, /*crash=*/false);
+  EXPECT_EQ(drive(chaos_dir, /*crash=*/true), twin_engine);
+  for (auto path_of : {MarketplaceLogPath, MarketplaceSnapshotPath,
+                       MarketplaceJournalPath}) {
+    auto twin = persist::ReadFileBytes(path_of(ref_dir, "delta"));
+    auto recovered = persist::ReadFileBytes(path_of(chaos_dir, "delta"));
+    ASSERT_TRUE(twin.ok()) << twin.status().ToString();
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(recovered.value(), twin.value()) << path_of(ref_dir, "delta");
+  }
+}
+
+TEST_F(FlipBoundaryRecoveryTest, FlipAtSnapshotRound) {
+  // effect_round 10: inside the round-10 snapshot's activity bitmap.
+  ExpectRecoveryMatchesTwin(9, 14);
+}
+
+TEST_F(FlipBoundaryRecoveryTest, FlipAfterSnapshotRound) {
+  // effect_round 11: re-applied before replaying round 11.
+  ExpectRecoveryMatchesTwin(10, 14);
+}
+
+TEST_F(FlipBoundaryRecoveryTest, FlipPastLastSettledRound) {
+  // effect_round 15, journaled after round 14 settled, just before the
+  // crash: re-applied once the replay is done.
+  ExpectRecoveryMatchesTwin(14, 14);
 }
 
 }  // namespace

@@ -172,8 +172,9 @@ BENCHMARK(BM_TopKByUcbLargeM)
     ->Arg(1000000)
     ->Unit(benchmark::kMicrosecond);
 
-// Steady-state selection round at large M: select K, observe those K (the
-// bank update + selector invalidation that every trading round performs).
+// Steady-state selection round, paper scale to large M: select K, observe
+// those K (the bank update + selector invalidation that every trading
+// round performs).
 // CucbPolicy pays ~K invalidations and a pool rescan; the oracle rescans
 // all M arms and partial-sorts every round.
 template <typename Policy>
@@ -218,8 +219,12 @@ void BM_ReferenceSelectRound(benchmark::State& state) {
   SelectRoundLargeM<testsupport::OracleCucbPolicy>(state);
 }
 // Two K regimes per M: the paper's coalition size (K = 10) and the
-// stress scaling K ~ sqrt(M) used throughout docs/PERFORMANCE.md.
+// stress scaling K ~ sqrt(M) used throughout docs/PERFORMANCE.md. The
+// M = 300 rows are Table II's operating point (K = 10 runs the lazy
+// regime, K = 60 the direct one).
 BENCHMARK(BM_LazySelectRound)
+    ->Args({300, 10})
+    ->Args({300, 60})
     ->Args({10000, 10})
     ->Args({10000, 100})
     ->Args({100000, 10})
@@ -228,6 +233,8 @@ BENCHMARK(BM_LazySelectRound)
     ->Args({1000000, 1000})
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ReferenceSelectRound)
+    ->Args({300, 10})
+    ->Args({300, 60})
     ->Args({10000, 10})
     ->Args({10000, 100})
     ->Args({100000, 10})

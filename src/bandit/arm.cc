@@ -58,10 +58,47 @@ void TopKIndicesInto(const std::vector<double>& values, int k,
   std::sort(best.begin(), best.end(), heap_cmp);
 }
 
-std::vector<int> TopKIndices(const std::vector<double>& values, int k) {
-  std::vector<int> order;
-  TopKIndicesInto(values, k, &order);
-  return order;
+Status CheckSelectionSize(int num_sellers, int k) {
+  if (num_sellers <= 0) {
+    return Status::InvalidArgument("num_sellers must be > 0");
+  }
+  if (k <= 0 || k > num_sellers) {
+    return Status::InvalidArgument("need 1 <= K <= M");
+  }
+  return Status::OK();
+}
+
+Result<double> ResolveExploration(double exploration, int k) {
+  if (!std::isfinite(exploration)) {
+    return Status::InvalidArgument("exploration constant must be finite");
+  }
+  // Paper default: the (K+1) factor of Eq. (19).
+  return exploration > 0.0 ? exploration : static_cast<double>(k + 1);
+}
+
+Status CheckQualities(const std::vector<double>& batch) {
+  for (double q : batch) {
+    // Negated form so NaN (incomparable) is rejected with the range.
+    if (!(q >= 0.0 && q <= 1.0)) {
+      return Status::OutOfRange("quality observation outside [0, 1]");
+    }
+  }
+  return Status::OK();
+}
+
+Status CheckFeedback(int num_sellers, const std::vector<int>& selected,
+                     const std::vector<std::vector<double>>& observations) {
+  if (selected.size() != observations.size()) {
+    return Status::InvalidArgument("selected/observations size mismatch");
+  }
+  for (std::size_t j = 0; j < selected.size(); ++j) {
+    if (selected[j] < 0 || selected[j] >= num_sellers) {
+      return Status::OutOfRange("arm index " + std::to_string(selected[j]) +
+                                " out of range");
+    }
+    CDT_RETURN_NOT_OK(CheckQualities(observations[j]));
+  }
+  return Status::OK();
 }
 
 EstimatorBank::EstimatorBank(int num_arms, double exploration)
@@ -80,8 +117,9 @@ Result<EstimatorBank> EstimatorBank::Create(int num_arms,
   if (num_arms <= 0) {
     return Status::InvalidArgument("EstimatorBank requires >= 1 arm");
   }
-  if (exploration <= 0.0) {
-    return Status::InvalidArgument("exploration constant must be > 0");
+  if (!(exploration > 0.0) || !std::isfinite(exploration)) {
+    return Status::InvalidArgument(
+        "exploration constant must be finite and > 0");
   }
   return EstimatorBank(num_arms, exploration);
 }
@@ -120,12 +158,27 @@ Status EstimatorBank::Update(int i, const std::vector<double>& observations) {
   if (observations.empty()) {
     return Status::InvalidArgument("empty observation batch");
   }
-  for (double q : observations) {
-    // Negated form so NaN (incomparable) is rejected with the range.
-    if (!(q >= 0.0 && q <= 1.0)) {
-      return Status::OutOfRange("quality observation outside [0, 1]");
+  CDT_RETURN_NOT_OK(CheckQualities(observations));
+  Apply(i, observations);
+  return Status::OK();
+}
+
+Status EstimatorBank::UpdateRound(
+    const std::vector<int>& selected,
+    const std::vector<std::vector<double>>& observations) {
+  CDT_RETURN_NOT_OK(CheckFeedback(num_arms(), selected, observations));
+  for (const std::vector<double>& batch : observations) {
+    if (batch.empty()) {
+      return Status::InvalidArgument("empty observation batch");
     }
   }
+  for (std::size_t j = 0; j < selected.size(); ++j) {
+    Apply(selected[j], observations[j]);
+  }
+  return Status::OK();
+}
+
+void EstimatorBank::Apply(int i, const std::vector<double>& observations) {
   const std::size_t idx = static_cast<std::size_t>(i);
   // Eq. (18): q̄ <- (q̄ * n + Σ q_l) / (n + L); Eq. (17): n <- n + L.
   double batch_sum = 0.0;
@@ -138,7 +191,6 @@ Status EstimatorBank::Update(int i, const std::vector<double>& observations) {
   bonus_bases_[idx] = std::sqrt(exploration_ / n_new);
   if (n_old == 0.0) --num_unexplored_;  // cold_list_ compacts lazily
   total_observations_ += observations.size();
-  return Status::OK();
 }
 
 Status EstimatorBank::Restore(const std::vector<ArmState>& arms,
@@ -210,16 +262,6 @@ void EstimatorBank::TopKByUcbInto(int k, std::vector<double>* ucb_scratch,
                                   std::vector<int>* out) const {
   UcbValuesInto(ucb_scratch);
   TopKIndicesInto(*ucb_scratch, k, out);
-}
-
-std::vector<int> EstimatorBank::TopKByMean(int k) const {
-  std::vector<int> out;
-  TopKByMeanInto(k, &out);
-  return out;
-}
-
-void EstimatorBank::TopKByMeanInto(int k, std::vector<int>* out) const {
-  TopKIndicesInto(means_, k, out);
 }
 
 }  // namespace bandit

@@ -44,7 +44,7 @@ struct ArmState {
 /// with exploration = K+1 in the paper (configurable for ablations).
 class EstimatorBank {
  public:
-  /// Creates M unexplored arms. `exploration` must be > 0.
+  /// Creates M unexplored arms. `exploration` must be finite and > 0.
   static util::Result<EstimatorBank> Create(int num_arms, double exploration);
 
   int num_arms() const { return static_cast<int>(means_.size()); }
@@ -100,6 +100,12 @@ class EstimatorBank {
   /// Observations outside [0,1] are rejected.
   util::Status Update(int i, const std::vector<double>& observations);
 
+  /// Update() for every `selected[j]` with `observations[j]`. The whole
+  /// round is validated first (CheckFeedback, non-empty batches), so a
+  /// rejected round leaves the bank untouched.
+  util::Status UpdateRound(const std::vector<int>& selected,
+                           const std::vector<std::vector<double>>& observations);
+
   /// Restores a previously captured learning state (snapshot/replay): one
   /// ArmState per arm plus the total counter, which must equal the sum of
   /// the per-arm counters. Means must be finite and in [0, 1].
@@ -126,15 +132,11 @@ class EstimatorBank {
   void TopKByUcbInto(int k, std::vector<double>* ucb_scratch,
                      std::vector<int>* out) const;
 
-  /// Indices of the k arms with the largest empirical means.
-  std::vector<int> TopKByMean(int k) const;
-
-  /// TopKByMean into a caller-owned buffer; reads the mean column
-  /// directly, so no value scratch is needed.
-  void TopKByMeanInto(int k, std::vector<int>* out) const;
-
  private:
   EstimatorBank(int num_arms, double exploration);
+
+  /// Eqs. (17)-(18) for one validated, non-empty batch.
+  void Apply(int i, const std::vector<double>& observations);
 
   std::vector<double> means_;
   std::vector<std::uint64_t> observations_;
@@ -149,18 +151,42 @@ class EstimatorBank {
   std::uint64_t epoch_ = 0;
 };
 
-/// Returns indices of the k largest entries of `values` (descending value,
-/// ascending index on ties). Shared by the bank and the policies.
-std::vector<int> TopKIndices(const std::vector<double>& values, int k);
-
-/// TopKIndices into a caller-owned buffer: `out` is resized to
-/// min(k, values.size()) and filled with the winning indices. Implemented
+/// Indices of the k largest entries of `values` into a caller-owned
+/// buffer: `out` is resized to min(k, values.size()) and filled with the
+/// winning indices (descending value, ascending index on ties). Implemented
 /// as a bounded heap-select — O(M) comparisons plus O(k log k) heap work
 /// for the entries that enter the running top-k — instead of materialising
-/// a full index permutation; output order is identical to a partial sort
-/// under (value desc, index asc).
+/// a full index permutation. The one top-K of every selection in src/;
+/// callers mask ineligible entries with -infinity.
 void TopKIndicesInto(const std::vector<double>& values, int k,
                      std::vector<int>* out);
+
+// ---- Shared selection preconditions ---------------------------------------
+//
+// Every policy, the bank and the marketplace validate through these, so the
+// same input is rejected with the same status everywhere.
+
+/// M >= 1 and 1 <= K <= M.
+util::Status CheckSelectionSize(int num_sellers, int k);
+
+/// The Eq. (19) exploration constant: `exploration` when > 0, else the
+/// paper's K+1. Non-finite values (NaN, ±infinity) are rejected.
+util::Result<double> ResolveExploration(double exploration, int k);
+
+/// Rounds are 1-based. Inline: it guards every selection.
+inline util::Status CheckRound(std::int64_t round) {
+  if (round < 1) return util::Status::InvalidArgument("rounds are 1-based");
+  return util::Status::OK();
+}
+
+/// Every quality in `batch` lies in [0, 1]; NaN is rejected.
+util::Status CheckQualities(const std::vector<double>& batch);
+
+/// One round of feedback, checked as a whole before any state changes:
+/// `observations[j]` pairs with `selected[j]`, every index is in [0, M),
+/// and every batch passes CheckQualities (empty batches pass).
+util::Status CheckFeedback(int num_sellers, const std::vector<int>& selected,
+                           const std::vector<std::vector<double>>& observations);
 
 }  // namespace bandit
 }  // namespace cdt

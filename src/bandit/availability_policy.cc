@@ -1,5 +1,6 @@
 #include "bandit/availability_policy.h"
 
+#include <algorithm>
 #include <limits>
 
 namespace cdt {
@@ -10,66 +11,50 @@ using util::Status;
 
 Result<AvailabilityAwareCucbPolicy> AvailabilityAwareCucbPolicy::Create(
     int num_sellers, int k, AvailabilityFn availability, double exploration) {
-  if (num_sellers <= 0) {
-    return Status::InvalidArgument("num_sellers must be > 0");
-  }
-  if (k <= 0 || k > num_sellers) {
-    return Status::InvalidArgument("need 1 <= K <= M");
-  }
+  CDT_RETURN_NOT_OK(CheckSelectionSize(num_sellers, k));
   if (!availability) {
     return Status::InvalidArgument("availability callback must be set");
   }
-  double resolved =
-      exploration > 0.0 ? exploration : static_cast<double>(k + 1);
-  Result<EstimatorBank> bank = EstimatorBank::Create(num_sellers, resolved);
+  Result<double> resolved = ResolveExploration(exploration, k);
+  if (!resolved.ok()) return resolved.status();
+  Result<EstimatorBank> bank =
+      EstimatorBank::Create(num_sellers, resolved.value());
   if (!bank.ok()) return bank.status();
   return AvailabilityAwareCucbPolicy(std::move(bank).value(), k,
                                      std::move(availability));
 }
 
-Result<std::vector<int>> AvailabilityAwareCucbPolicy::SelectRound(
-    std::int64_t round) {
-  std::vector<int> selected;
-  CDT_RETURN_NOT_OK(SelectRoundInto(round, &selected));
-  return selected;
-}
-
 Status AvailabilityAwareCucbPolicy::SelectRoundInto(std::int64_t round,
                                                     std::vector<int>* out) {
-  if (round < 1) return Status::InvalidArgument("rounds are 1-based");
-  std::vector<int>& available = available_scratch_;
-  available.clear();
-  available.reserve(static_cast<std::size_t>(bank_.num_arms()));
+  CDT_RETURN_NOT_OK(CheckRound(round));
+  // `out` collects the available subset; off-shift sellers are masked out
+  // of the Eq. (19) scores so the shared top-K never picks them.
+  bank_.UcbValuesInto(&masked_scratch_);
+  out->clear();
   for (int i = 0; i < bank_.num_arms(); ++i) {
-    if (availability_(i, round)) available.push_back(i);
+    if (availability_(i, round)) {
+      out->push_back(i);
+    } else {
+      masked_scratch_[static_cast<std::size_t>(i)] =
+          -std::numeric_limits<double>::infinity();
+    }
   }
-  if (available.empty()) {
+  if (out->empty()) {
     return Status::FailedPrecondition("no seller available in round " +
                                       std::to_string(round));
   }
-  if (round == 1) {
-    // Restricted initial exploration.
-    out->assign(available.begin(), available.end());
-    return Status::OK();
-  }
-
-  // Top-K among the available by UCB.
-  masked_scratch_.assign(static_cast<std::size_t>(bank_.num_arms()),
-                         -std::numeric_limits<double>::infinity());
-  for (int i : available) {
-    masked_scratch_[static_cast<std::size_t>(i)] = bank_.UcbValue(i);
-  }
+  // Round 1 keeps the whole available subset (restricted initial
+  // exploration); later rounds take the top K among it by UCB.
+  if (round == 1) return Status::OK();
   TopKIndicesInto(masked_scratch_,
-                  std::min<int>(k_, static_cast<int>(available.size())), out);
+                  std::min<int>(k_, static_cast<int>(out->size())), out);
   return Status::OK();
 }
 
 Status AvailabilityAwareCucbPolicy::Observe(
     const std::vector<int>& selected,
     const std::vector<std::vector<double>>& observations) {
-  if (selected.size() != observations.size()) {
-    return Status::InvalidArgument("selected/observations size mismatch");
-  }
+  CDT_RETURN_NOT_OK(CheckFeedback(num_sellers(), selected, observations));
   for (std::size_t j = 0; j < selected.size(); ++j) {
     // Empty batches (an unavailable seller produced no data) carry no
     // information and are skipped rather than rejected.

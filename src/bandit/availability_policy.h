@@ -30,9 +30,8 @@ class AvailabilityAwareCucbPolicy : public SelectionPolicy {
   std::string name() const override { return "cmab-hs-avail"; }
   int num_sellers() const override { return bank_.num_arms(); }
 
-  util::Result<std::vector<int>> SelectRound(std::int64_t round) override;
-
-  /// Allocation-free selection via reused availability/mask scratches.
+  /// Allocation-free selection: the bank's UCB scan with off-shift
+  /// sellers masked to -infinity, then the shared top-K.
   util::Status SelectRoundInto(std::int64_t round,
                                std::vector<int>* out) override;
 
@@ -52,9 +51,7 @@ class AvailabilityAwareCucbPolicy : public SelectionPolicy {
   EstimatorBank bank_;
   int k_;
   AvailabilityFn availability_;
-  /// Per-round scratches: the available subset and the masked UCB values
-  /// (-inf for off-shift sellers), reused every round.
-  std::vector<int> available_scratch_;
+  /// Masked UCB values (-inf for off-shift sellers), reused every round.
   std::vector<double> masked_scratch_;
 };
 

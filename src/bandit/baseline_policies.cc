@@ -28,29 +28,26 @@ std::vector<int> SampleDistinct(stats::Xoshiro256& rng, int n, int k) {
 
 Result<OraclePolicy> OraclePolicy::Create(std::vector<double> qualities,
                                           int k) {
-  if (qualities.empty()) {
-    return Status::InvalidArgument("oracle needs >= 1 quality");
-  }
-  if (k <= 0 || static_cast<std::size_t>(k) > qualities.size()) {
-    return Status::InvalidArgument("need 1 <= K <= M");
-  }
-  std::vector<int> selection = TopKIndices(qualities, k);
+  CDT_RETURN_NOT_OK(
+      CheckSelectionSize(static_cast<int>(qualities.size()), k));
+  std::vector<int> selection;
+  TopKIndicesInto(qualities, k, &selection);
   return OraclePolicy(std::move(selection),
                       static_cast<int>(qualities.size()));
 }
 
-Result<std::vector<int>> OraclePolicy::SelectRound(std::int64_t round) {
-  if (round < 1) return Status::InvalidArgument("rounds are 1-based");
-  return selection_;
+Status OraclePolicy::SelectRoundInto(std::int64_t round,
+                                     std::vector<int>* out) {
+  CDT_RETURN_NOT_OK(CheckRound(round));
+  *out = selection_;
+  return Status::OK();
 }
 
 Status OraclePolicy::Observe(
     const std::vector<int>& selected,
     const std::vector<std::vector<double>>& observations) {
-  if (selected.size() != observations.size()) {
-    return Status::InvalidArgument("selected/observations size mismatch");
-  }
-  return Status::OK();  // The oracle has nothing to learn.
+  // The oracle has nothing to learn.
+  return CheckFeedback(num_sellers_, selected, observations);
 }
 
 // -------------------------------------------------------------- ε-first --
@@ -58,12 +55,7 @@ Status OraclePolicy::Observe(
 Result<EpsilonFirstPolicy> EpsilonFirstPolicy::Create(
     int num_sellers, int k, std::int64_t total_rounds, double epsilon,
     std::uint64_t seed) {
-  if (num_sellers <= 0) {
-    return Status::InvalidArgument("num_sellers must be > 0");
-  }
-  if (k <= 0 || k > num_sellers) {
-    return Status::InvalidArgument("need 1 <= K <= M");
-  }
+  CDT_RETURN_NOT_OK(CheckSelectionSize(num_sellers, k));
   if (total_rounds <= 0) {
     return Status::InvalidArgument("total_rounds must be > 0");
   }
@@ -86,51 +78,42 @@ std::string EpsilonFirstPolicy::name() const {
   return os.str();
 }
 
-Result<std::vector<int>> EpsilonFirstPolicy::SelectRound(std::int64_t round) {
-  if (round < 1) return Status::InvalidArgument("rounds are 1-based");
+Status EpsilonFirstPolicy::SelectRoundInto(std::int64_t round,
+                                           std::vector<int>* out) {
+  CDT_RETURN_NOT_OK(CheckRound(round));
   if (round <= exploration_rounds_) {
-    return SampleDistinct(rng_, bank_.num_arms(), k_);
+    *out = SampleDistinct(rng_, bank_.num_arms(), k_);
+  } else {
+    TopKIndicesInto(bank_.means(), k_, out);
   }
-  return bank_.TopKByMean(k_);
+  return Status::OK();
 }
 
 Status EpsilonFirstPolicy::Observe(
     const std::vector<int>& selected,
     const std::vector<std::vector<double>>& observations) {
-  if (selected.size() != observations.size()) {
-    return Status::InvalidArgument("selected/observations size mismatch");
-  }
-  for (std::size_t j = 0; j < selected.size(); ++j) {
-    CDT_RETURN_NOT_OK(bank_.Update(selected[j], observations[j]));
-  }
-  return Status::OK();
+  return bank_.UpdateRound(selected, observations);
 }
 
 // --------------------------------------------------------------- Random --
 
 Result<RandomPolicy> RandomPolicy::Create(int num_sellers, int k,
                                           std::uint64_t seed) {
-  if (num_sellers <= 0) {
-    return Status::InvalidArgument("num_sellers must be > 0");
-  }
-  if (k <= 0 || k > num_sellers) {
-    return Status::InvalidArgument("need 1 <= K <= M");
-  }
+  CDT_RETURN_NOT_OK(CheckSelectionSize(num_sellers, k));
   return RandomPolicy(num_sellers, k, seed);
 }
 
-Result<std::vector<int>> RandomPolicy::SelectRound(std::int64_t round) {
-  if (round < 1) return Status::InvalidArgument("rounds are 1-based");
-  return SampleDistinct(rng_, num_sellers_, k_);
+Status RandomPolicy::SelectRoundInto(std::int64_t round,
+                                     std::vector<int>* out) {
+  CDT_RETURN_NOT_OK(CheckRound(round));
+  *out = SampleDistinct(rng_, num_sellers_, k_);
+  return Status::OK();
 }
 
 Status RandomPolicy::Observe(
     const std::vector<int>& selected,
     const std::vector<std::vector<double>>& observations) {
-  if (selected.size() != observations.size()) {
-    return Status::InvalidArgument("selected/observations size mismatch");
-  }
-  return Status::OK();
+  return CheckFeedback(num_sellers_, selected, observations);
 }
 
 }  // namespace bandit

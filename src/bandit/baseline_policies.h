@@ -27,7 +27,8 @@ class OraclePolicy : public SelectionPolicy {
   std::string name() const override { return "optimal"; }
   int num_sellers() const override { return num_sellers_; }
 
-  util::Result<std::vector<int>> SelectRound(std::int64_t round) override;
+  util::Status SelectRoundInto(std::int64_t round,
+                               std::vector<int>* out) override;
   util::Status Observe(
       const std::vector<int>& selected,
       const std::vector<std::vector<double>>& observations) override;
@@ -54,7 +55,8 @@ class EpsilonFirstPolicy : public SelectionPolicy {
   std::string name() const override;
   int num_sellers() const override { return bank_.num_arms(); }
 
-  util::Result<std::vector<int>> SelectRound(std::int64_t round) override;
+  util::Status SelectRoundInto(std::int64_t round,
+                               std::vector<int>* out) override;
   util::Status Observe(
       const std::vector<int>& selected,
       const std::vector<std::vector<double>>& observations) override;
@@ -88,7 +90,8 @@ class RandomPolicy : public SelectionPolicy {
   std::string name() const override { return "random"; }
   int num_sellers() const override { return num_sellers_; }
 
-  util::Result<std::vector<int>> SelectRound(std::int64_t round) override;
+  util::Status SelectRoundInto(std::int64_t round,
+                               std::vector<int>* out) override;
   util::Status Observe(
       const std::vector<int>& selected,
       const std::vector<std::vector<double>>& observations) override;

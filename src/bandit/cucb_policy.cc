@@ -11,35 +11,22 @@ using util::Result;
 using util::Status;
 
 Result<CucbPolicy> CucbPolicy::Create(const CucbOptions& options) {
-  if (options.num_sellers <= 0) {
-    return Status::InvalidArgument("num_sellers must be > 0");
-  }
-  if (options.num_selected <= 0 ||
-      options.num_selected > options.num_sellers) {
-    return Status::InvalidArgument("need 1 <= K <= M");
-  }
+  CDT_RETURN_NOT_OK(
+      CheckSelectionSize(options.num_sellers, options.num_selected));
   CucbOptions resolved = options;
-  if (resolved.exploration <= 0.0) {
-    // Paper default: the (K+1) factor of Eq. (19).
-    resolved.exploration = static_cast<double>(resolved.num_selected + 1);
-  }
+  Result<double> exploration =
+      ResolveExploration(options.exploration, options.num_selected);
+  if (!exploration.ok()) return exploration.status();
+  resolved.exploration = exploration.value();
   Result<EstimatorBank> bank =
       EstimatorBank::Create(resolved.num_sellers, resolved.exploration);
   if (!bank.ok()) return bank.status();
   return CucbPolicy(resolved, std::move(bank).value());
 }
 
-Result<std::vector<int>> CucbPolicy::SelectRound(std::int64_t round) {
-  std::vector<int> selected;
-  CDT_RETURN_NOT_OK(SelectRoundInto(round, &selected));
-  return selected;
-}
-
 Status CucbPolicy::SelectRoundInto(std::int64_t round,
                                    std::vector<int>* out) {
-  if (round < 1) {
-    return Status::InvalidArgument("rounds are 1-based");
-  }
+  CDT_RETURN_NOT_OK(CheckRound(round));
   if (round == 1 && options_.select_all_first_round) {
     // Initial exploration: select every seller (Algorithm 1, steps 2-4).
     out->resize(static_cast<std::size_t>(options_.num_sellers));
@@ -54,14 +41,8 @@ Status CucbPolicy::SelectRoundInto(std::int64_t round,
 Status CucbPolicy::Observe(
     const std::vector<int>& selected,
     const std::vector<std::vector<double>>& observations) {
-  if (selected.size() != observations.size()) {
-    return Status::InvalidArgument(
-        "selected/observations size mismatch");
-  }
-  for (std::size_t j = 0; j < selected.size(); ++j) {
-    CDT_RETURN_NOT_OK(bank_.Update(selected[j], observations[j]));
-    selector_.Invalidate(bank_, selected[j]);
-  }
+  CDT_RETURN_NOT_OK(bank_.UpdateRound(selected, observations));
+  for (int arm : selected) selector_.Invalidate(bank_, arm);
   return Status::OK();
 }
 

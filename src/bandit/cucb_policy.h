@@ -33,8 +33,6 @@ class CucbPolicy : public SelectionPolicy {
   std::string name() const override { return "cmab-hs"; }
   int num_sellers() const override { return options_.num_sellers; }
 
-  util::Result<std::vector<int>> SelectRound(std::int64_t round) override;
-
   /// Allocation-free selection: after the scratch buffers warm up in the
   /// first call, subsequent rounds do zero heap allocations.
   util::Status SelectRoundInto(std::int64_t round,

@@ -16,12 +16,7 @@ using util::Status;
 Result<EpsilonGreedyPolicy> EpsilonGreedyPolicy::Create(int num_sellers,
                                                         int k, double epsilon,
                                                         std::uint64_t seed) {
-  if (num_sellers <= 0) {
-    return Status::InvalidArgument("num_sellers must be > 0");
-  }
-  if (k <= 0 || k > num_sellers) {
-    return Status::InvalidArgument("need 1 <= K <= M");
-  }
+  CDT_RETURN_NOT_OK(CheckSelectionSize(num_sellers, k));
   if (epsilon <= 0.0 || epsilon >= 1.0) {
     return Status::OutOfRange("epsilon must lie in (0, 1)");
   }
@@ -36,60 +31,36 @@ std::string EpsilonGreedyPolicy::name() const {
   return os.str();
 }
 
-Result<std::vector<int>> EpsilonGreedyPolicy::SelectRound(
-    std::int64_t round) {
-  std::vector<int> selected;
-  CDT_RETURN_NOT_OK(SelectRoundInto(round, &selected));
-  return selected;
-}
-
 Status EpsilonGreedyPolicy::SelectRoundInto(std::int64_t round,
                                             std::vector<int>* out) {
-  if (round < 1) return Status::InvalidArgument("rounds are 1-based");
+  CDT_RETURN_NOT_OK(CheckRound(round));
   if (rng_.NextDouble() < epsilon_) {
     *out = SampleDistinct(rng_, bank_.num_arms(), k_);
     return Status::OK();
   }
-  bank_.TopKByMeanInto(k_, out);
+  TopKIndicesInto(bank_.means(), k_, out);
   return Status::OK();
 }
 
 Status EpsilonGreedyPolicy::Observe(
     const std::vector<int>& selected,
     const std::vector<std::vector<double>>& observations) {
-  if (selected.size() != observations.size()) {
-    return Status::InvalidArgument("selected/observations size mismatch");
-  }
-  for (std::size_t j = 0; j < selected.size(); ++j) {
-    CDT_RETURN_NOT_OK(bank_.Update(selected[j], observations[j]));
-  }
-  return Status::OK();
+  return bank_.UpdateRound(selected, observations);
 }
 
 // -------------------------------------------------------------- Thompson --
 
 Result<ThompsonPolicy> ThompsonPolicy::Create(int num_sellers, int k,
                                               std::uint64_t seed) {
-  if (num_sellers <= 0) {
-    return Status::InvalidArgument("num_sellers must be > 0");
-  }
-  if (k <= 0 || k > num_sellers) {
-    return Status::InvalidArgument("need 1 <= K <= M");
-  }
+  CDT_RETURN_NOT_OK(CheckSelectionSize(num_sellers, k));
   Result<EstimatorBank> bank = EstimatorBank::Create(num_sellers, 1.0);
   if (!bank.ok()) return bank.status();
   return ThompsonPolicy(std::move(bank).value(), k, seed);
 }
 
-Result<std::vector<int>> ThompsonPolicy::SelectRound(std::int64_t round) {
-  std::vector<int> selected;
-  CDT_RETURN_NOT_OK(SelectRoundInto(round, &selected));
-  return selected;
-}
-
 Status ThompsonPolicy::SelectRoundInto(std::int64_t round,
                                        std::vector<int>* out) {
-  if (round < 1) return Status::InvalidArgument("rounds are 1-based");
+  CDT_RETURN_NOT_OK(CheckRound(round));
   draws_scratch_.resize(static_cast<std::size_t>(bank_.num_arms()));
   for (int i = 0; i < bank_.num_arms(); ++i) {
     const ArmState arm = bank_.arm(i);
@@ -106,13 +77,7 @@ Status ThompsonPolicy::SelectRoundInto(std::int64_t round,
 Status ThompsonPolicy::Observe(
     const std::vector<int>& selected,
     const std::vector<std::vector<double>>& observations) {
-  if (selected.size() != observations.size()) {
-    return Status::InvalidArgument("selected/observations size mismatch");
-  }
-  for (std::size_t j = 0; j < selected.size(); ++j) {
-    CDT_RETURN_NOT_OK(bank_.Update(selected[j], observations[j]));
-  }
-  return Status::OK();
+  return bank_.UpdateRound(selected, observations);
 }
 
 }  // namespace bandit

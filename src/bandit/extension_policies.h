@@ -22,8 +22,6 @@ class EpsilonGreedyPolicy : public SelectionPolicy {
   std::string name() const override;
   int num_sellers() const override { return bank_.num_arms(); }
 
-  util::Result<std::vector<int>> SelectRound(std::int64_t round) override;
-
   /// Allocation-free exploit rounds (top-K by mean straight into `out`);
   /// explore rounds still draw a fresh uniform sample.
   util::Status SelectRoundInto(std::int64_t round,
@@ -56,8 +54,6 @@ class ThompsonPolicy : public SelectionPolicy {
 
   std::string name() const override { return "thompson"; }
   int num_sellers() const override { return bank_.num_arms(); }
-
-  util::Result<std::vector<int>> SelectRound(std::int64_t round) override;
 
   /// Allocation-free selection via the reused posterior-draw scratch.
   util::Status SelectRoundInto(std::int64_t round,

@@ -15,18 +15,13 @@ using util::Status;
 
 Result<SlidingWindowCucbPolicy> SlidingWindowCucbPolicy::Create(
     int num_sellers, int k, std::size_t window, double exploration) {
-  if (num_sellers <= 0) {
-    return Status::InvalidArgument("num_sellers must be > 0");
-  }
-  if (k <= 0 || k > num_sellers) {
-    return Status::InvalidArgument("need 1 <= K <= M");
-  }
+  CDT_RETURN_NOT_OK(CheckSelectionSize(num_sellers, k));
   if (window == 0) {
     return Status::InvalidArgument("window must be >= 1");
   }
-  double resolved =
-      exploration > 0.0 ? exploration : static_cast<double>(k + 1);
-  return SlidingWindowCucbPolicy(num_sellers, k, window, resolved);
+  Result<double> resolved = ResolveExploration(exploration, k);
+  if (!resolved.ok()) return resolved.status();
+  return SlidingWindowCucbPolicy(num_sellers, k, window, resolved.value());
 }
 
 std::string SlidingWindowCucbPolicy::name() const {
@@ -45,16 +40,9 @@ std::size_t SlidingWindowCucbPolicy::WindowedCount(int arm) const {
   return arms_.at(static_cast<std::size_t>(arm)).samples.size();
 }
 
-Result<std::vector<int>> SlidingWindowCucbPolicy::SelectRound(
-    std::int64_t round) {
-  std::vector<int> selected;
-  CDT_RETURN_NOT_OK(SelectRoundInto(round, &selected));
-  return selected;
-}
-
 Status SlidingWindowCucbPolicy::SelectRoundInto(std::int64_t round,
                                                 std::vector<int>* out) {
-  if (round < 1) return Status::InvalidArgument("rounds are 1-based");
+  CDT_RETURN_NOT_OK(CheckRound(round));
   if (round == 1) {
     // Initial exploration (Algorithm 1): select everyone once.
     out->resize(arms_.size());
@@ -82,19 +70,11 @@ Status SlidingWindowCucbPolicy::SelectRoundInto(std::int64_t round,
 Status SlidingWindowCucbPolicy::Observe(
     const std::vector<int>& selected,
     const std::vector<std::vector<double>>& observations) {
-  if (selected.size() != observations.size()) {
-    return Status::InvalidArgument("selected/observations size mismatch");
-  }
+  // Validate the whole round first: a rejected round leaves no sample.
+  CDT_RETURN_NOT_OK(CheckFeedback(num_sellers(), selected, observations));
   for (std::size_t j = 0; j < selected.size(); ++j) {
-    int i = selected[j];
-    if (i < 0 || static_cast<std::size_t>(i) >= arms_.size()) {
-      return Status::OutOfRange("arm index out of range");
-    }
-    WindowArm& arm = arms_[static_cast<std::size_t>(i)];
+    WindowArm& arm = arms_[static_cast<std::size_t>(selected[j])];
     for (double q : observations[j]) {
-      if (q < 0.0 || q > 1.0) {
-        return Status::OutOfRange("quality observation outside [0, 1]");
-      }
       arm.samples.push_back(q);
       arm.sum += q;
       if (arm.samples.size() > window_) {
@@ -111,18 +91,13 @@ Status SlidingWindowCucbPolicy::Observe(
 Result<DiscountedUcbPolicy> DiscountedUcbPolicy::Create(int num_sellers,
                                                         int k, double gamma,
                                                         double exploration) {
-  if (num_sellers <= 0) {
-    return Status::InvalidArgument("num_sellers must be > 0");
-  }
-  if (k <= 0 || k > num_sellers) {
-    return Status::InvalidArgument("need 1 <= K <= M");
-  }
+  CDT_RETURN_NOT_OK(CheckSelectionSize(num_sellers, k));
   if (gamma <= 0.0 || gamma > 1.0) {
     return Status::OutOfRange("gamma must lie in (0, 1]");
   }
-  double resolved =
-      exploration > 0.0 ? exploration : static_cast<double>(k + 1);
-  return DiscountedUcbPolicy(num_sellers, k, gamma, resolved);
+  Result<double> resolved = ResolveExploration(exploration, k);
+  if (!resolved.ok()) return resolved.status();
+  return DiscountedUcbPolicy(num_sellers, k, gamma, resolved.value());
 }
 
 std::string DiscountedUcbPolicy::name() const {
@@ -137,16 +112,9 @@ double DiscountedUcbPolicy::DiscountedMean(int arm) const {
   return sums_.at(static_cast<std::size_t>(arm)) / n;
 }
 
-Result<std::vector<int>> DiscountedUcbPolicy::SelectRound(
-    std::int64_t round) {
-  std::vector<int> selected;
-  CDT_RETURN_NOT_OK(SelectRoundInto(round, &selected));
-  return selected;
-}
-
 Status DiscountedUcbPolicy::SelectRoundInto(std::int64_t round,
                                             std::vector<int>* out) {
-  if (round < 1) return Status::InvalidArgument("rounds are 1-based");
+  CDT_RETURN_NOT_OK(CheckRound(round));
   if (round == 1) {
     out->resize(counts_.size());
     std::iota(out->begin(), out->end(), 0);
@@ -171,25 +139,18 @@ Status DiscountedUcbPolicy::SelectRoundInto(std::int64_t round,
 Status DiscountedUcbPolicy::Observe(
     const std::vector<int>& selected,
     const std::vector<std::vector<double>>& observations) {
-  if (selected.size() != observations.size()) {
-    return Status::InvalidArgument("selected/observations size mismatch");
-  }
+  // Validate the whole round before the decay touches any arm.
+  CDT_RETURN_NOT_OK(CheckFeedback(num_sellers(), selected, observations));
   // Per-round decay of every arm's evidence.
   for (std::size_t i = 0; i < counts_.size(); ++i) {
     counts_[i] *= gamma_;
     sums_[i] *= gamma_;
   }
   for (std::size_t j = 0; j < selected.size(); ++j) {
-    int i = selected[j];
-    if (i < 0 || static_cast<std::size_t>(i) >= counts_.size()) {
-      return Status::OutOfRange("arm index out of range");
-    }
+    const std::size_t i = static_cast<std::size_t>(selected[j]);
     for (double q : observations[j]) {
-      if (q < 0.0 || q > 1.0) {
-        return Status::OutOfRange("quality observation outside [0, 1]");
-      }
-      counts_[static_cast<std::size_t>(i)] += 1.0;
-      sums_[static_cast<std::size_t>(i)] += q;
+      counts_[i] += 1.0;
+      sums_[i] += q;
     }
   }
   return Status::OK();

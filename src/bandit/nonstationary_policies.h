@@ -28,8 +28,6 @@ class SlidingWindowCucbPolicy : public SelectionPolicy {
     return static_cast<int>(arms_.size());
   }
 
-  util::Result<std::vector<int>> SelectRound(std::int64_t round) override;
-
   /// Allocation-free selection via the reused UCB scratch.
   util::Status SelectRoundInto(std::int64_t round,
                                std::vector<int>* out) override;
@@ -77,8 +75,6 @@ class DiscountedUcbPolicy : public SelectionPolicy {
   int num_sellers() const override {
     return static_cast<int>(counts_.size());
   }
-
-  util::Result<std::vector<int>> SelectRound(std::int64_t round) override;
 
   /// Allocation-free selection via the reused UCB scratch.
   util::Status SelectRoundInto(std::int64_t round,

@@ -16,9 +16,11 @@ namespace bandit {
 
 /// Abstract seller-selection policy.
 ///
-/// Protocol per round t (1-based): call SelectRound(t) to obtain the chosen
-/// seller indices, collect observations, then call Observe() with exactly
-/// the selected set and one observation batch per selected seller.
+/// Protocol per round t (1-based): call SelectRoundInto(t) (or the
+/// allocating SelectRound(t)) to obtain the chosen seller indices, collect
+/// observations, then call Observe() with exactly the selected set and one
+/// observation batch per selected seller. A rejected Observe() leaves the
+/// policy's state untouched.
 class SelectionPolicy {
  public:
   virtual ~SelectionPolicy() = default;
@@ -29,20 +31,20 @@ class SelectionPolicy {
   /// Number of sellers this policy draws from.
   virtual int num_sellers() const = 0;
 
-  /// Sellers selected in round `round`. Policies may select more than K in
-  /// designated exploration rounds (Algorithm 1 selects all M in round 1).
-  virtual util::Result<std::vector<int>> SelectRound(std::int64_t round) = 0;
-
-  /// SelectRound into a caller-owned buffer (the engine's per-round hot
-  /// path). The default delegates to SelectRound; policies with a
-  /// performance-sensitive selection (CucbPolicy) override this to fill
-  /// `out` without allocating, and implement SelectRound on top of it.
+  /// Fills `out` with the sellers selected in round `round`: the one
+  /// selection method every policy implements, and the engine's per-round
+  /// hot path (reusing `out` spares the UCB policies any allocation).
+  /// Policies may select more than K in designated exploration rounds
+  /// (Algorithm 1 selects all M in round 1).
   virtual util::Status SelectRoundInto(std::int64_t round,
-                                       std::vector<int>* out) {
-    util::Result<std::vector<int>> selected = SelectRound(round);
-    if (!selected.ok()) return selected.status();
-    *out = std::move(selected).value();
-    return util::Status::OK();
+                                       std::vector<int>* out) = 0;
+
+  /// Allocating convenience over SelectRoundInto. Virtual only so that
+  /// forwarding decorators can time it; policies do not override it.
+  virtual util::Result<std::vector<int>> SelectRound(std::int64_t round) {
+    std::vector<int> selected;
+    CDT_RETURN_NOT_OK(SelectRoundInto(round, &selected));
+    return selected;
   }
 
   /// Feedback for the round: `observations[j]` are the per-PoI quality

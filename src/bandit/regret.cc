@@ -5,6 +5,8 @@
 #include <limits>
 #include <numeric>
 
+#include "bandit/arm.h"
+
 namespace cdt {
 namespace bandit {
 
@@ -42,12 +44,8 @@ RegretTracker::RegretTracker(std::vector<double> qualities, int k,
 
 Result<RegretTracker> RegretTracker::Create(std::vector<double> qualities,
                                             int k, int num_pois) {
-  if (qualities.empty()) {
-    return Status::InvalidArgument("need >= 1 quality");
-  }
-  if (k <= 0 || static_cast<std::size_t>(k) > qualities.size()) {
-    return Status::InvalidArgument("need 1 <= K <= M");
-  }
+  CDT_RETURN_NOT_OK(
+      CheckSelectionSize(static_cast<int>(qualities.size()), k));
   if (num_pois <= 0) {
     return Status::InvalidArgument("num_pois must be > 0");
   }

@@ -87,6 +87,10 @@ void LazyTopKSelector::Rebuild(const EstimatorBank& bank, int k) {
   } else {
     outside_value_ = -std::numeric_limits<double>::infinity();
   }
+  // With no outside arm V = -inf and B = 0: keep |V| out of the slack so
+  // the bound stays -inf instead of -inf + inf = NaN (which would force a
+  // rebuild every round).
+  outside_abs_ = warm > target ? std::fabs(outside_value_) : 0.0;
 
   pool_.clear();
   pool_.reserve(target);
@@ -119,6 +123,11 @@ void LazyTopKSelector::Rebuild(const EstimatorBank& bank, int k) {
   synced_total_ = bank.total_observations();
   initialized_ = true;
   ++full_rebuilds_;
+}
+
+double LazyTopKSelector::OutsideSlack(double s) const {
+  constexpr double kRelative = 16.0 * std::numeric_limits<double>::epsilon();
+  return kSlack + kRelative * (outside_abs_ + s * outside_bb_);
 }
 
 double LazyTopKSelector::SelectFromPool(const EstimatorBank& bank,
@@ -221,9 +230,10 @@ void LazyTopKSelector::SelectInto(const EstimatorBank& bank, int k,
     // most V + (s − s₀)·B. Strictly beating that bound (ties are unsafe:
     // an outside arm with an equal value could win its index tie-break)
     // proves the pool selection globally exact.
-    const double outside_ub =
-        outside_value_ +
-        (bank.bonus_scalar() - s_rebuild_) * outside_bb_ + kSlack;
+    const double s = bank.bonus_scalar();
+    const double outside_ub = outside_value_ +
+                              (s - s_rebuild_) * outside_bb_ +
+                              OutsideSlack(s);
     if (!(worst > outside_ub)) {
       Rebuild(bank, k);
       worst = SelectFromPool(bank, need);

@@ -24,8 +24,10 @@
 //     update flows through Invalidate, and out-of-band changes are caught
 //     by the bank's epoch/total counters), so at a later selection with
 //     scalar s ≥ s₀ every outside arm's UCB is ≤ V + (s − s₀)·B + slack,
-//     where the fixed slack absorbs the FP discrepancy between that
-//     algebraic bound and the canonical sqrt((c·ln T)/n_i) association;
+//     where the slack absorbs the FP discrepancy between that algebraic
+//     bound and the canonical sqrt((c·ln T)/n_i) association (see
+//     OutsideSlack: it scales with |V| + s·B, so it holds at any
+//     exploration constant);
 //   * if the K-th best exact value inside the pool strictly exceeds that
 //     bound, no outside arm can displace or tie any winner (ties are
 //     conservatively unsafe: equality falls back) and the pool selection
@@ -101,11 +103,22 @@ class LazyTopKSelector {
   /// arm asc)) and returns the worst kept exact value.
   double SelectFromPool(const EstimatorBank& bank, int need);
 
-  /// Absolute slack added to the outside upper bound; covers the ulp-scale
-  /// gap between the algebraic bound and the canonical exact association
-  /// (measured ≲ 1e-12 at the magnitudes Eq. (19) produces; 1e-9 is three
-  /// orders of margin and only costs an extra rebuild when a gap is
-  /// genuinely that thin).
+  /// Slack added to the outside upper bound V + (s − s₀)·B at scalar s:
+  ///   kSlack + 16·ε·(|V| + s·B),   ε = DBL_EPSILON = 2u.
+  /// Every operand of the comparison is a rounded value. With u the unit
+  /// roundoff and ln/sqrt good to 1 ulp:
+  ///   * a frozen outside arm's canonical value at s exceeds its real
+  ///     value m + s·b by at most u·(1 + 4·s·B);
+  ///   * V, its value at s₀, is at most 4u·|V| below the real one;
+  ///   * the rounded s, s₀ and B move (s − s₀)·B by at most 8u·s·B;
+  ///   * evaluating the bound itself rounds by at most 3u·(|V| + s·B).
+  /// Summed, the gap is below 7u·|V| + 15u·s·B + u ≤ 8ε·(|V| + s·B) + u,
+  /// so 16ε is a 2× margin and the absolute kSlack covers the u term
+  /// (means lie in [0, 1]). At the paper's exploration K+1 the relative
+  /// term is below 1e-13, far under kSlack; it takes over once a large
+  /// exploration constant pushes UCB values past ~1e6, where one ulp
+  /// exceeds kSlack and a fixed slack could accept a wrong top-K.
+  double OutsideSlack(double s) const;
   static constexpr double kSlack = 1e-9;
 
   std::vector<int> pool_;              // candidate arms (exact-rescanned)
@@ -116,6 +129,7 @@ class LazyTopKSelector {
   std::vector<Candidate> scan_;        // rebuild scratch (all warm arms)
   std::vector<double> ucb_scratch_;    // full-scan scratch (both regimes)
   double outside_value_ = 0.0;         // V: max outside exact at rebuild
+  double outside_abs_ = 0.0;           // |V|, 0 with no outside arm
   double outside_bb_ = 0.0;            // B: max outside bonus_base
   double s_rebuild_ = 0.0;             // s₀: bonus scalar at rebuild
   bool initialized_ = false;

@@ -38,6 +38,15 @@ std::string PolicySpec::Name() const {
 
 namespace {
 
+/// Boxes a created policy behind the SelectionPolicy interface.
+template <typename Policy>
+Result<std::unique_ptr<bandit::SelectionPolicy>> Boxed(
+    Result<Policy> policy) {
+  if (!policy.ok()) return policy.status();
+  return std::unique_ptr<bandit::SelectionPolicy>(
+      new Policy(std::move(policy).value()));
+}
+
 Result<std::unique_ptr<bandit::SelectionPolicy>> MakePolicy(
     const MechanismConfig& config, const PolicySpec& spec,
     const bandit::QualityEnvironment& environment) {
@@ -50,51 +59,25 @@ Result<std::unique_ptr<bandit::SelectionPolicy>> MakePolicy(
       options.num_selected = config.num_selected;
       options.exploration = config.exploration;
       options.select_all_first_round = config.select_all_first_round;
-      Result<bandit::CucbPolicy> policy =
-          bandit::CucbPolicy::Create(options);
-      if (!policy.ok()) return policy.status();
-      return std::unique_ptr<bandit::SelectionPolicy>(
-          new bandit::CucbPolicy(std::move(policy).value()));
+      return Boxed(bandit::CucbPolicy::Create(options));
     }
-    case PolicyKind::kOptimal: {
-      Result<bandit::OraclePolicy> policy = bandit::OraclePolicy::Create(
-          environment.effective_qualities(), config.num_selected);
-      if (!policy.ok()) return policy.status();
-      return std::unique_ptr<bandit::SelectionPolicy>(
-          new bandit::OraclePolicy(std::move(policy).value()));
-    }
-    case PolicyKind::kEpsilonFirst: {
-      Result<bandit::EpsilonFirstPolicy> policy =
-          bandit::EpsilonFirstPolicy::Create(
-              config.num_sellers, config.num_selected, config.num_rounds,
-              spec.epsilon, policy_seed);
-      if (!policy.ok()) return policy.status();
-      return std::unique_ptr<bandit::SelectionPolicy>(
-          new bandit::EpsilonFirstPolicy(std::move(policy).value()));
-    }
-    case PolicyKind::kRandom: {
-      Result<bandit::RandomPolicy> policy = bandit::RandomPolicy::Create(
-          config.num_sellers, config.num_selected, policy_seed);
-      if (!policy.ok()) return policy.status();
-      return std::unique_ptr<bandit::SelectionPolicy>(
-          new bandit::RandomPolicy(std::move(policy).value()));
-    }
-    case PolicyKind::kEpsilonGreedy: {
-      Result<bandit::EpsilonGreedyPolicy> policy =
-          bandit::EpsilonGreedyPolicy::Create(config.num_sellers,
-                                              config.num_selected,
-                                              spec.epsilon, policy_seed);
-      if (!policy.ok()) return policy.status();
-      return std::unique_ptr<bandit::SelectionPolicy>(
-          new bandit::EpsilonGreedyPolicy(std::move(policy).value()));
-    }
-    case PolicyKind::kThompson: {
-      Result<bandit::ThompsonPolicy> policy = bandit::ThompsonPolicy::Create(
-          config.num_sellers, config.num_selected, policy_seed);
-      if (!policy.ok()) return policy.status();
-      return std::unique_ptr<bandit::SelectionPolicy>(
-          new bandit::ThompsonPolicy(std::move(policy).value()));
-    }
+    case PolicyKind::kOptimal:
+      return Boxed(bandit::OraclePolicy::Create(
+          environment.effective_qualities(), config.num_selected));
+    case PolicyKind::kEpsilonFirst:
+      return Boxed(bandit::EpsilonFirstPolicy::Create(
+          config.num_sellers, config.num_selected, config.num_rounds,
+          spec.epsilon, policy_seed));
+    case PolicyKind::kRandom:
+      return Boxed(bandit::RandomPolicy::Create(
+          config.num_sellers, config.num_selected, policy_seed));
+    case PolicyKind::kEpsilonGreedy:
+      return Boxed(bandit::EpsilonGreedyPolicy::Create(
+          config.num_sellers, config.num_selected, spec.epsilon,
+          policy_seed));
+    case PolicyKind::kThompson:
+      return Boxed(bandit::ThompsonPolicy::Create(
+          config.num_sellers, config.num_selected, policy_seed));
   }
   return Status::InvalidArgument("unknown policy kind");
 }

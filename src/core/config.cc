@@ -1,5 +1,6 @@
 #include "core/config.h"
 
+#include "bandit/arm.h"
 #include "stats/rng.h"
 
 namespace cdt {
@@ -8,12 +9,9 @@ namespace core {
 using util::Status;
 
 Status MechanismConfig::Validate() const {
-  if (num_sellers <= 0) {
-    return Status::InvalidArgument("num_sellers must be > 0");
-  }
-  if (num_selected <= 0 || num_selected > num_sellers) {
-    return Status::InvalidArgument("need 1 <= K <= M");
-  }
+  CDT_RETURN_NOT_OK(bandit::CheckSelectionSize(num_sellers, num_selected));
+  CDT_RETURN_NOT_OK(
+      bandit::ResolveExploration(exploration, num_selected).status());
   if (num_pois <= 0) return Status::InvalidArgument("num_pois must be > 0");
   if (num_rounds <= 0) {
     return Status::InvalidArgument("num_rounds must be > 0");

@@ -75,16 +75,15 @@ Result<std::unique_ptr<Marketplace>> Marketplace::Create(
     return Status::InvalidArgument(
         "job and environment disagree on the PoI count");
   }
-  double exploration = config.exploration;
-  if (exploration <= 0.0) {
-    int max_k = 0;
-    for (const MarketplaceJob& job : config.jobs) {
-      max_k = std::max(max_k, job.num_selected);
-    }
-    exploration = static_cast<double>(max_k + 1);
+  int max_k = 0;
+  for (const MarketplaceJob& job : config.jobs) {
+    max_k = std::max(max_k, job.num_selected);
   }
-  Result<bandit::EstimatorBank> bank =
-      bandit::EstimatorBank::Create(environment->num_sellers(), exploration);
+  Result<double> exploration =
+      bandit::ResolveExploration(config.exploration, max_k);
+  if (!exploration.ok()) return exploration.status();
+  Result<bandit::EstimatorBank> bank = bandit::EstimatorBank::Create(
+      environment->num_sellers(), exploration.value());
   if (!bank.ok()) return bank.status();
   return std::unique_ptr<Marketplace>(new Marketplace(
       std::move(config), environment, std::move(bank).value()));
@@ -111,35 +110,20 @@ Result<MarketplaceRoundReport> Marketplace::RunRound() {
                                                static_cast<std::int64_t>(
                                                    num_jobs));
 
-  std::vector<bool> taken(static_cast<std::size_t>(
-                              environment_->num_sellers()),
-                          false);
+  // UCB values are snapshotted once per round; sellers taken by an
+  // earlier job are masked to -inf, so each job's pick is the shared
+  // top-K over the sellers still free (Validate caps Σ K_j <= M).
   bank_.UcbValuesInto(&ucb_scratch_);
-  const std::vector<double>& ucb = ucb_scratch_;
 
   for (std::size_t step = 0; step < num_jobs; ++step) {
     std::size_t j = (start + step) % num_jobs;
     const MarketplaceJob& job = config_.jobs[j];
 
-    // Top-K_j available sellers by shared UCB.
     std::vector<int> selected;
-    selected.reserve(static_cast<std::size_t>(job.num_selected));
-    // Simple partial selection over the availability mask; M is small
-    // enough (<= a few hundred) that a linear scan per pick is fine.
-    for (int pick = 0; pick < job.num_selected; ++pick) {
-      int best = -1;
-      double best_value = -std::numeric_limits<double>::infinity();
-      for (int i = 0; i < environment_->num_sellers(); ++i) {
-        if (taken[static_cast<std::size_t>(i)]) continue;
-        double v = ucb[static_cast<std::size_t>(i)];
-        if (v > best_value) {
-          best_value = v;
-          best = i;
-        }
-      }
-      if (best < 0) break;  // unreachable: Validate caps Σ K_j <= M
-      taken[static_cast<std::size_t>(best)] = true;
-      selected.push_back(best);
+    bandit::TopKIndicesInto(ucb_scratch_, job.num_selected, &selected);
+    for (int i : selected) {
+      ucb_scratch_[static_cast<std::size_t>(i)] =
+          -std::numeric_limits<double>::infinity();
     }
 
     // The job's own HS game.

@@ -38,9 +38,7 @@ obs::Histogram* BanditSelectHistogram() {
 
 Status EngineConfig::Validate(int num_sellers) const {
   CDT_RETURN_NOT_OK(job.Validate());
-  if (num_selected <= 0 || num_selected > num_sellers) {
-    return Status::InvalidArgument("need 1 <= K <= M");
-  }
+  CDT_RETURN_NOT_OK(bandit::CheckSelectionSize(num_sellers, num_selected));
   if (static_cast<int>(seller_costs.size()) != num_sellers) {
     return Status::InvalidArgument("need one cost parameter set per seller");
   }

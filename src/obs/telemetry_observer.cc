@@ -140,7 +140,8 @@ Status TelemetryObserver::OnRound(const TradingEngine& engine,
   // diagnostic ratio. Policies without an estimator are skipped.
   const bandit::EstimatorBank* bank = engine.policy().estimator();
   if (bank != nullptr && !report.selected.empty()) {
-    bank->TopKByMeanInto(engine.config().num_selected, &greedy_scratch_);
+    bandit::TopKIndicesInto(bank->means(), engine.config().num_selected,
+                            &greedy_scratch_);
     const std::vector<int>& greedy = greedy_scratch_;
     double explore = 0.0;
     for (int seller : report.selected) {

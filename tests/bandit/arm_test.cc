@@ -10,14 +10,20 @@ namespace {
 
 TEST(TopKIndicesTest, OrdersByValueThenIndex) {
   std::vector<double> v{0.2, 0.9, 0.9, 0.1};
-  EXPECT_EQ(TopKIndices(v, 2), (std::vector<int>{1, 2}));
-  EXPECT_EQ(TopKIndices(v, 3), (std::vector<int>{1, 2, 0}));
+  std::vector<int> top;
+  TopKIndicesInto(v, 2, &top);
+  EXPECT_EQ(top, (std::vector<int>{1, 2}));
+  TopKIndicesInto(v, 3, &top);
+  EXPECT_EQ(top, (std::vector<int>{1, 2, 0}));
 }
 
 TEST(TopKIndicesTest, HandlesEdgeSizes) {
   std::vector<double> v{1.0, 2.0};
-  EXPECT_TRUE(TopKIndices(v, 0).empty());
-  EXPECT_EQ(TopKIndices(v, 5), (std::vector<int>{1, 0}));  // capped at M
+  std::vector<int> top{7};
+  TopKIndicesInto(v, 0, &top);
+  EXPECT_TRUE(top.empty());
+  TopKIndicesInto(v, 5, &top);
+  EXPECT_EQ(top, (std::vector<int>{1, 0}));  // capped at M
 }
 
 TEST(EstimatorBankTest, CreateValidatesArgs) {
@@ -80,7 +86,8 @@ TEST(EstimatorBankTest, TopKByMeanIgnoresUncertainty) {
   ASSERT_TRUE(bank.ok());
   ASSERT_TRUE(bank.value().Update(0, {0.9}).ok());
   ASSERT_TRUE(bank.value().Update(1, {0.5, 0.5, 0.5, 0.5}).ok());
-  auto top = bank.value().TopKByMean(1);
+  std::vector<int> top;
+  TopKIndicesInto(bank.value().means(), 1, &top);
   EXPECT_EQ(top, (std::vector<int>{0}));
 }
 

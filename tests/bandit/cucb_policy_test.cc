@@ -1,6 +1,7 @@
 #include "bandit/cucb_policy.h"
 
 #include <algorithm>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,22 @@ TEST(CucbPolicyTest, CreateValidatesArgs) {
   EXPECT_FALSE(CucbPolicy::Create(Options(5, 0)).ok());
   EXPECT_FALSE(CucbPolicy::Create(Options(5, 6)).ok());
   EXPECT_TRUE(CucbPolicy::Create(Options(5, 2)).ok());
+}
+
+TEST(CucbPolicyTest, RejectsNonFiniteExploration) {
+  for (double c : {std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity()}) {
+    CucbOptions options = Options(5, 2);
+    options.exploration = c;
+    EXPECT_EQ(CucbPolicy::Create(options).status().code(),
+              util::StatusCode::kInvalidArgument)
+        << c;
+  }
+  EXPECT_FALSE(
+      EstimatorBank::Create(5, std::numeric_limits<double>::infinity()).ok());
+  EXPECT_FALSE(
+      EstimatorBank::Create(5, std::numeric_limits<double>::quiet_NaN()).ok());
 }
 
 TEST(CucbPolicyTest, DefaultExplorationIsKPlusOne) {

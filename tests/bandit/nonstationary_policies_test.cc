@@ -1,6 +1,8 @@
 #include "bandit/nonstationary_policies.h"
 
+#include <cmath>
 #include <functional>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -48,6 +50,35 @@ TEST(SlidingWindowCucbTest, RejectsBadObservations) {
   EXPECT_FALSE(policy.value().Observe({0, 1}, {{0.5}}).ok());
 }
 
+TEST(SlidingWindowCucbTest, RejectsNanQuality) {
+  auto policy = SlidingWindowCucbPolicy::Create(2, 1, 4);
+  ASSERT_TRUE(policy.ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(policy.value().Observe({0, 1}, {{0.5}, {nan}}).code(),
+            util::StatusCode::kOutOfRange);
+  EXPECT_EQ(policy.value().WindowedCount(1), 0u);
+  EXPECT_FALSE(std::isnan(policy.value().WindowedMean(0)));
+  EXPECT_FALSE(std::isnan(policy.value().WindowedMean(1)));
+}
+
+TEST(SlidingWindowCucbTest, RejectedRoundLeavesNoSample) {
+  auto policy = SlidingWindowCucbPolicy::Create(2, 1, 4);
+  ASSERT_TRUE(policy.ok());
+  // The bad batch comes second: the first must not be half-applied.
+  EXPECT_FALSE(policy.value().Observe({0, 1}, {{0.5}, {2.0}}).ok());
+  EXPECT_EQ(policy.value().WindowedCount(0), 0u);
+  EXPECT_EQ(policy.value().WindowedCount(1), 0u);
+}
+
+TEST(SlidingWindowCucbTest, RejectsNonFiniteExploration) {
+  for (double c : {std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(SlidingWindowCucbPolicy::Create(5, 2, 10, c).status().code(),
+              util::StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(DiscountedUcbTest, Validation) {
   EXPECT_FALSE(DiscountedUcbPolicy::Create(0, 1, 0.99).ok());
   EXPECT_FALSE(DiscountedUcbPolicy::Create(5, 6, 0.99).ok());
@@ -77,6 +108,27 @@ TEST(DiscountedUcbTest, GammaOneMatchesStationaryMean) {
   ASSERT_TRUE(policy.value().Observe({0}, {{0.8}}).ok());
   EXPECT_NEAR(policy.value().DiscountedMean(0), 0.5, 1e-12);
   EXPECT_NEAR(policy.value().DiscountedCount(0), 4.0, 1e-12);
+}
+
+TEST(DiscountedUcbTest, RejectedRoundDecaysNothing) {
+  auto policy = DiscountedUcbPolicy::Create(2, 1, 0.9);
+  ASSERT_TRUE(policy.ok());
+  ASSERT_TRUE(policy.value().Observe({1}, {{1.0}}).ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(policy.value().Observe({0}, {{nan}}).ok());
+  EXPECT_FALSE(policy.value().Observe({0, 1}, {{0.5}, {2.0}}).ok());
+  // Neither rejected round decayed arm 1 or credited arm 0.
+  EXPECT_EQ(policy.value().DiscountedCount(1), 1.0);
+  EXPECT_EQ(policy.value().DiscountedCount(0), 0.0);
+}
+
+TEST(DiscountedUcbTest, RejectsNonFiniteExploration) {
+  for (double c : {std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(DiscountedUcbPolicy::Create(5, 2, 0.9, c).status().code(),
+              util::StatusCode::kInvalidArgument);
+  }
 }
 
 // Runs a policy against a drifting environment and returns the dynamic

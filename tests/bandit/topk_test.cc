@@ -373,6 +373,41 @@ TEST(CucbPolicyPathsTest, ReferenceAndOptimizedSelectIdentically) {
   }
 }
 
+TEST(CucbPolicyPathsTest, LazyBoundHoldsAtEveryExplorationMagnitude) {
+  // Huge exploration constants push UCB values to 1e7..1e50, where one
+  // ulp dwarfs any absolute slack; the outside bound must scale with the
+  // values it protects. Constant observations make every warm arm's value
+  // a function of its count alone, so near-ties are everywhere.
+  constexpr int kM = 2000;
+  constexpr int kK = 10;
+  for (double exploration :
+       {0.0, 1e6, 1e12, 1e13, 1e14, 1e15, 1e16, 1e18, 1e100}) {
+    CucbOptions options;
+    options.num_sellers = kM;
+    options.num_selected = kK;
+    options.exploration = exploration;
+    auto lazy = CucbPolicy::Create(options);
+    auto reference = testsupport::OracleCucbPolicy::Create(options);
+    ASSERT_TRUE(lazy.ok());
+    ASSERT_TRUE(reference.ok());
+
+    std::vector<int> a, b;
+    std::vector<std::vector<double>> batches;
+    int mismatches = 0;
+    for (std::int64_t round = 1; round <= 3000; ++round) {
+      ASSERT_TRUE(lazy.value().SelectRoundInto(round, &a).ok());
+      ASSERT_TRUE(reference.value().SelectRoundInto(round, &b).ok());
+      if (a != b) ++mismatches;
+      // Both learn from the reference pick, so one mismatch cannot
+      // cascade into every later round.
+      batches.assign(b.size(), std::vector<double>(2, 0.5));
+      ASSERT_TRUE(lazy.value().Observe(b, batches).ok());
+      ASSERT_TRUE(reference.value().Observe(b, batches).ok());
+    }
+    EXPECT_EQ(mismatches, 0) << "exploration " << exploration;
+  }
+}
+
 }  // namespace
 }  // namespace bandit
 }  // namespace cdt

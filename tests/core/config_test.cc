@@ -1,5 +1,7 @@
 #include "core/config.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 namespace cdt {
@@ -73,6 +75,22 @@ TEST(MechanismConfigTest, RejectionsCarryDescriptiveMessages) {
   EXPECT_NE(status.message().find("collection price bounds"),
             std::string::npos)
       << status.ToString();
+}
+
+TEST(MechanismConfigTest, RejectsNonFiniteExploration) {
+  for (double c : {std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity()}) {
+    MechanismConfig config;
+    config.exploration = c;
+    util::Status status = config.Validate();
+    EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument) << c;
+    EXPECT_NE(status.message().find("exploration"), std::string::npos)
+        << status.ToString();
+  }
+  MechanismConfig config;
+  config.exploration = -1.0;  // <= 0 still means the paper's K+1
+  EXPECT_TRUE(config.Validate().ok());
 }
 
 TEST(MechanismConfigTest, CheckInvariantsFlagFlowsToEngineConfig) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -98,6 +99,17 @@ TEST(MarketplaceTest, CreateValidation) {
   EXPECT_FALSE(Marketplace::Create(bad, &env).ok());
 }
 
+TEST(MarketplaceTest, RejectsNonFiniteExploration) {
+  auto env = MakeEnv();
+  for (double c : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    MarketplaceConfig config = MakeConfig();
+    config.exploration = c;
+    EXPECT_EQ(Marketplace::Create(config, &env).status().code(),
+              util::StatusCode::kInvalidArgument)
+        << c;
+  }
+}
+
 TEST(MarketplaceTest, JobsGetDisjointSellersEveryRound) {
   auto env = MakeEnv();
   auto marketplace = Marketplace::Create(MakeConfig(), &env);
@@ -150,6 +162,57 @@ TEST(MarketplaceTest, FirstPickerGetsTheBestUcb) {
   auto report = marketplace.value()->RunRound();
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report.value().jobs[0].report.selected.front(), argmax);
+}
+
+// Differential: with three jobs contending, each job's pick equals repeated
+// argmax (first index on ties) over the UCB values snapshotted before the
+// round, skipping sellers taken by jobs that picked earlier in the round's
+// rotation.
+TEST(MarketplaceTest, SelectionMatchesRepeatedArgmax) {
+  auto env = MakeEnv();
+  MarketplaceConfig config = MakeConfig(240);
+  MarketplaceJob c = config.jobs[1];
+  c.name = "traffic";
+  c.num_selected = 5;
+  config.jobs.push_back(c);
+  auto marketplace = Marketplace::Create(config, &env);
+  ASSERT_TRUE(marketplace.ok());
+
+  const std::size_t num_jobs = config.jobs.size();
+  std::vector<double> ucb(kSellers);
+  for (std::int64_t t = 1; t <= 240; ++t) {
+    const bandit::EstimatorBank& bank =
+        marketplace.value()->shared_estimates();
+    for (int i = 0; i < kSellers; ++i) {
+      ucb[static_cast<std::size_t>(i)] = bank.UcbValue(i);
+    }
+    auto report = marketplace.value()->RunRound();
+    ASSERT_TRUE(report.ok());
+    ASSERT_EQ(report.value().jobs.size(), num_jobs);
+
+    std::vector<bool> taken(kSellers, false);
+    const std::size_t start = static_cast<std::size_t>(t - 1) % num_jobs;
+    for (std::size_t step = 0; step < num_jobs; ++step) {
+      const MarketplaceJob& job = config.jobs[(start + step) % num_jobs];
+      std::vector<int> expected;
+      for (int pick = 0; pick < job.num_selected; ++pick) {
+        int best = -1;
+        for (int i = 0; i < kSellers; ++i) {
+          if (taken[static_cast<std::size_t>(i)]) continue;
+          if (best < 0 || ucb[static_cast<std::size_t>(i)] >
+                              ucb[static_cast<std::size_t>(best)]) {
+            best = i;
+          }
+        }
+        taken[static_cast<std::size_t>(best)] = true;
+        expected.push_back(best);
+      }
+      const JobRoundReport& got = report.value().jobs[step];
+      ASSERT_EQ(got.job_name, job.name) << "round " << t;
+      ASSERT_EQ(got.report.selected, expected)
+          << "round " << t << " job " << job.name;
+    }
+  }
 }
 
 TEST(MarketplaceTest, SummariesAccumulate) {

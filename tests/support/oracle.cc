@@ -50,34 +50,22 @@ void TopKIndicesPartialSortInto(const std::vector<double>& values, int k,
 Result<OracleCucbPolicy> OracleCucbPolicy::Create(
     const bandit::CucbOptions& options) {
   // Same validation and exploration default as CucbPolicy::Create.
-  if (options.num_sellers <= 0) {
-    return Status::InvalidArgument("num_sellers must be > 0");
-  }
-  if (options.num_selected <= 0 ||
-      options.num_selected > options.num_sellers) {
-    return Status::InvalidArgument("need 1 <= K <= M");
-  }
+  CDT_RETURN_NOT_OK(bandit::CheckSelectionSize(options.num_sellers,
+                                               options.num_selected));
   bandit::CucbOptions resolved = options;
-  if (resolved.exploration <= 0.0) {
-    resolved.exploration = static_cast<double>(resolved.num_selected + 1);
-  }
+  Result<double> exploration =
+      bandit::ResolveExploration(options.exploration, options.num_selected);
+  if (!exploration.ok()) return exploration.status();
+  resolved.exploration = exploration.value();
   Result<bandit::EstimatorBank> bank = bandit::EstimatorBank::Create(
       resolved.num_sellers, resolved.exploration);
   if (!bank.ok()) return bank.status();
   return OracleCucbPolicy(resolved, std::move(bank).value());
 }
 
-Result<std::vector<int>> OracleCucbPolicy::SelectRound(std::int64_t round) {
-  std::vector<int> selected;
-  CDT_RETURN_NOT_OK(SelectRoundInto(round, &selected));
-  return selected;
-}
-
 Status OracleCucbPolicy::SelectRoundInto(std::int64_t round,
                                          std::vector<int>* out) {
-  if (round < 1) {
-    return Status::InvalidArgument("rounds are 1-based");
-  }
+  CDT_RETURN_NOT_OK(bandit::CheckRound(round));
   if (round == 1 && options_.select_all_first_round) {
     out->resize(static_cast<std::size_t>(options_.num_sellers));
     std::iota(out->begin(), out->end(), 0);
@@ -91,13 +79,7 @@ Status OracleCucbPolicy::SelectRoundInto(std::int64_t round,
 Status OracleCucbPolicy::Observe(
     const std::vector<int>& selected,
     const std::vector<std::vector<double>>& observations) {
-  if (selected.size() != observations.size()) {
-    return Status::InvalidArgument("selected/observations size mismatch");
-  }
-  for (std::size_t j = 0; j < selected.size(); ++j) {
-    CDT_RETURN_NOT_OK(bank_.Update(selected[j], observations[j]));
-  }
-  return Status::OK();
+  return bank_.UpdateRound(selected, observations);
 }
 
 }  // namespace testsupport

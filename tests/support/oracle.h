@@ -42,7 +42,6 @@ class OracleCucbPolicy : public bandit::SelectionPolicy {
   std::string name() const override { return "cmab-hs"; }
   int num_sellers() const override { return options_.num_sellers; }
 
-  util::Result<std::vector<int>> SelectRound(std::int64_t round) override;
   util::Status SelectRoundInto(std::int64_t round,
                                std::vector<int>* out) override;
   util::Status Observe(
